@@ -1,0 +1,6 @@
+"""Test set-up: import the package from the checkout's src/, as the benchmark does."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
