@@ -102,7 +102,7 @@ class AcceptanceSuite:
 
     # -- 1 ------------------------------------------------------------------
     def criterion_1(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, gamma, nbar = 1.0, 0.25, 0.4
         target = math.sqrt(omega**2 - gamma**2)
         s0 = fock_mod.coherent_density_matrix(1.0, 30)
@@ -119,7 +119,7 @@ class AcceptanceSuite:
         popt, _ = curve_fit(model, times, q, p0=(2.0, gamma, omega, 0.0))
         freq = abs(popt[2])
         rel = abs(freq - target) / target
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=1, title="effective-frequency shift (non-RWA Fock run)",
             passed=bool(rel <= 5e-3 and rt < 10.0),
@@ -131,7 +131,7 @@ class AcceptanceSuite:
 
     # -- 2 ------------------------------------------------------------------
     def criterion_2(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, gamma = 1.0, 0.05
         times = np.linspace(0.0, 10 * 2 * math.pi, 200)
         s0 = fock_mod.coherent_density_matrix(1.0, 30)
@@ -148,7 +148,7 @@ class AcceptanceSuite:
         vc = np.array([b.variance_param.real for b in branches])
         dq = float(np.abs(obs["meanQ"] - qc).max())
         dv = float(np.abs(obs["V"] - vc).max())
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=2, title="oracle equivalence (cumulant vs Fock)",
             passed=bool(dq <= 1e-4 and dv <= 1e-4),
@@ -158,7 +158,7 @@ class AcceptanceSuite:
 
     # -- 3 ------------------------------------------------------------------
     def criterion_3(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, gamma = 1.0, 0.1
         nbar = bath_mod.bose_occupation(omega, 3.0)
         alpha0 = 2.0
@@ -171,7 +171,7 @@ class AcceptanceSuite:
         v = np.array([b.variance_param.real for b in branches])
         qa, va, _ = cum.analytic_markov(alpha0, gamma, omega, nbar, times)
         dev = max(float(np.abs(q - qa).max()), float(np.abs(v - va).max()))
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=3, title="analytic consistency (cumulant ODE vs closed form)",
             passed=bool(dev <= 1e-8),
@@ -181,7 +181,7 @@ class AcceptanceSuite:
 
     # -- 4 ------------------------------------------------------------------
     def criterion_4(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, gamma = 1.0, 0.1
         nbar = bath_mod.bose_occupation(omega, 3.0)
         target_v = 0.5 + nbar
@@ -206,7 +206,7 @@ class AcceptanceSuite:
         peak = float(freqs[int(np.argmax(np.abs(np.fft.rfft(resid))))])
         two_wt = 2 * math.sqrt(omega**2 - gamma**2)
         bin_w = float(freqs[1])
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=4, title="broadening saturation and 2w~ oscillation",
             passed=bool(rel <= 0.01 and abs(peak - two_wt) <= bin_w and rt < 60.0),
@@ -219,7 +219,7 @@ class AcceptanceSuite:
 
     # -- 5 ------------------------------------------------------------------
     def criterion_5(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         gamma, omega = 0.02, 1.0
         alphas = (1.0, 1.5, 2.0)
         rates = []
@@ -238,7 +238,7 @@ class AcceptanceSuite:
         r_squared = 1.0 - ss_res / ss_tot
         ratio_ok = all(0.9 <= x <= 1.1 for x in ratios)
         lin_ok = r_squared >= 0.99
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=5, title="decoherence-rate law (envelope fit vs 2|a|^2 g)",
             passed=bool(ratio_ok and lin_ok),
@@ -254,7 +254,7 @@ class AcceptanceSuite:
 
     # -- 6 ------------------------------------------------------------------
     def criterion_6(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, G = 1.0, 0.5
         dim = 20
         s1 = fock_mod.number_state_density_matrix(1, dim)
@@ -286,7 +286,7 @@ class AcceptanceSuite:
         r_sig = G * (2.0 * A @ sig @ Ad - Ad @ A @ sig - sig @ Ad @ A)
         oracle = -float(r_sig[2, 2])
         rel = abs(fitted - oracle) / oracle
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=6, title="parity selection (two-quantum bath)",
             passed=bool(d11 <= 1e-8 and rel <= 0.01),
@@ -297,7 +297,7 @@ class AcceptanceSuite:
 
     # -- 7 ------------------------------------------------------------------
     def criterion_7(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega = 1.0
         s0 = fock_mod.coherent_density_matrix(-1.1, 30)
         times = np.linspace(0.0, 30.0, 600)
@@ -322,7 +322,7 @@ class AcceptanceSuite:
         coef = np.polyfit(tp2, logs, 1)
         resid = logs - np.polyval(coef, tp2)
         resid_frac = float(np.sqrt(np.mean(resid**2)) / (logs.max() - logs.min()))
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=7, title="bath discrimination (two-quantum freeze-out)",
             passed=bool(ratio >= 3.0 and resid_frac < 0.02),
@@ -335,7 +335,7 @@ class AcceptanceSuite:
 
     # -- 8 ------------------------------------------------------------------
     def criterion_8(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega, alpha, phi = 1.0, 2.0, 0.0
         kT = 2.0 / math.log(3.0)
         n1 = bath_mod.bose_occupation(omega, kT)
@@ -350,7 +350,7 @@ class AcceptanceSuite:
             vis[label] = v
             vis[label + "_t"] = t_col
         ratio = vis["quadratic"] / vis["linear"]
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=8, title="superposition conservation (quad vs linear bath)",
             passed=bool(ratio >= 4.0),
@@ -385,7 +385,7 @@ class AcceptanceSuite:
 
     # -- 10 -----------------------------------------------------------------
     def criterion_10(self) -> CriterionResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         omega = 1.0
         comb = bath_mod.flat_comb(center=omega, width=0.01, n_modes=201,
                                   total_coupling_sq=1.25e-4, occupation=1.0)
@@ -401,7 +401,7 @@ class AcceptanceSuite:
         rel = np.abs((v[1:] - 0.5) - law[1:]) / law[1:]
         max_rel = float(rel.max())
         occ = 1.0
-        rt = time.time() - t0
+        rt = time.perf_counter() - t0
         return CriterionResult(
             cid=10, title="early-time quadratic broadening law (mode comb)",
             passed=bool(max_rel <= 0.05),

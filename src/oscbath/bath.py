@@ -22,10 +22,20 @@ to (0, Gamma0*t) at early times, Gamma0 = sum_xi K^2 (2 n_xi + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
+
+
+def check_nonnegative(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and >= 0.
+
+    NaN compares false with everything, so a bare `x < 0` test lets it pass.
+    """
+    for name, x in values.items():
+        if not (math.isfinite(x) and x >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +50,7 @@ class LinearMarkov:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        check_nonnegative(gamma=self.gamma, nbar=self.nbar)
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,7 @@ class QuadraticMarkov:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        if self.Gamma < 0:
-            raise ValueError(f"Gamma must be >= 0, got {self.Gamma}")
-        if self.nbar2 < 0:
-            raise ValueError(f"nbar2 must be >= 0, got {self.nbar2}")
+        check_nonnegative(Gamma=self.Gamma, nbar2=self.nbar2)
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,7 @@ class EarlyTime:
     Gamma0: float
 
     def __post_init__(self):
-        if self.Gamma0 < 0:
-            raise ValueError(f"Gamma0 must be >= 0, got {self.Gamma0}")
+        check_nonnegative(Gamma0=self.Gamma0)
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,9 @@ class Mode:
     occupation: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"mode frequency must be > 0, got {self.omega}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if self.occupation < 0:
-            raise ValueError(f"occupation must be >= 0, got {self.occupation}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"mode frequency must be finite and > 0, got {self.omega}")
+        check_nonnegative(coupling=self.coupling, occupation=self.occupation)
 
 
 @dataclass(frozen=True)
@@ -97,18 +97,25 @@ class DiscreteModes:
     """Explicit finite mode list; keeps the mode sums exactly computable."""
 
     modes: Tuple[Mode, ...]
+    _arrays: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.modes) == 0:
             raise ValueError("DiscreteModes needs at least one mode")
         object.__setattr__(self, "modes", tuple(self.modes))
-
-    def arrays(self):
-        """(omegas, couplings^2, occupations) as numpy arrays."""
         om = np.array([m.omega for m in self.modes])
         k2 = np.array([m.coupling for m in self.modes]) ** 2
         occ = np.array([m.occupation for m in self.modes])
-        return om, k2, occ
+        for arr in (om, k2, occ):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_arrays", (om, k2, occ))
+
+    def arrays(self):
+        """(omegas, couplings^2, occupations) as read-only numpy arrays.
+
+        Built once per instance; every call returns the same arrays.
+        """
+        return self._arrays
 
     def early_time_constant(self) -> float:
         """Gamma0 = sum K^2 (2 n + 1)."""
@@ -227,21 +234,41 @@ def relaxation_coefficients(bath: BathModel, system_omega: float) -> RelaxationC
         g0 = bath.Gamma0
         return RelaxationCoefficients(mu=lambda t: 0j, nu=lambda t: complex(g0 * t))
     if isinstance(bath, DiscreteModes):
-        def mu(t, _b=bath, _w=system_omega):
-            g = gamma_functions(_b, _w, t)
-            nu_val = np.conj(g.gamma_n) + g.gtilde_n1
-            return g.gamma_n1 + np.conj(g.gtilde_n) - np.conj(nu_val)
-
-        def nu(t, _b=bath, _w=system_omega):
-            g = gamma_functions(_b, _w, t)
-            return np.conj(g.gamma_n) + g.gtilde_n1
-
-        return RelaxationCoefficients(mu=mu, nu=nu)
+        return _discrete_coefficients(bath, system_omega)
     if isinstance(bath, QuadraticMarkov):
         raise ValueError(
             "QuadraticMarkov has no Gaussian relaxation functions; "
             "use the Fock solver (quadratic dissipator)")
     raise TypeError(f"unknown bath model {bath!r}")
+
+
+def _discrete_coefficients(bath: DiscreteModes,
+                           system_omega: float) -> RelaxationCoefficients:
+    """(mu, nu) of a mode list, sharing one mode sum per distinct t.
+
+    The cumulant RHS asks for mu(t) and then nu(t) at the same t; both come
+    from one gamma_functions call.  The last evaluation is kept as a single
+    (t, mu, nu) tuple, replaced whole, so a concurrent reader sees either
+    the old or the new entry and never a mu of one t beside a nu of another.
+    Array arguments bypass the memo.
+    """
+    last = (None, 0j, 0j)
+
+    def pair(t):
+        nonlocal last
+        scalar = np.ndim(t) == 0
+        entry = last
+        if scalar and entry[0] == t:
+            return entry
+        g = gamma_functions(bath, system_omega, t)
+        nu_val = np.conj(g.gamma_n) + g.gtilde_n1
+        mu_val = g.gamma_n1 + np.conj(g.gtilde_n) - np.conj(nu_val)
+        entry = (t, mu_val, nu_val)
+        if scalar:
+            last = entry
+        return entry
+
+    return RelaxationCoefficients(mu=lambda t: pair(t)[1], nu=lambda t: pair(t)[2])
 
 
 def flat_comb(center: float, width: float, n_modes: int,

@@ -14,6 +14,18 @@ They obey the linear system (mu, nu are the bath relaxation functions)
     dK20 = -nu* + mu  K11 + 2 ( iw - mu*) K20
     dK02 = -nu  + mu* K11 - 2 ( iw + mu ) K02
 
+The first-cumulant pair is linear and never sees K11/K20/K02, and the
+second cumulants never see K10/K01 and start at zero for every branch, so
+every branch shares them.  For real w and any complex mu(t), if (x, y)
+solves the (K10, K01) pair from (1, 0), then (conj(y), conj(x)) solves it
+from (0, 1).  evolve_superposition therefore integrates the single unit
+branch (1, 0) and builds branch (alpha, beta) as
+
+    K10 = alpha x + beta conj(y),   K01 = alpha y + beta conj(x),
+
+with the unit branch's second cumulants: one solve for any number of
+branches, exact up to the integrator's tolerance.
+
 Note the sign of mu in the K02 damping term: it is the complex conjugate
 of the K20 equation, as it must be for K02 = conj(K20) (and hence a real
 packet width) to be preserved.  Writing it with the opposite sign breaks
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -184,12 +196,23 @@ def evolve_cumulants(initial: BranchCumulants, coeffs: RelaxationCoefficients,
 def evolve_superposition(state: SuperpositionState, coeffs: RelaxationCoefficients,
                          times: Sequence[float], rtol: float = 1e-10,
                          atol: float = 1e-12) -> List[List[BranchCumulants]]:
-    """Evolve every branch independently; returns [branch][time] cumulants."""
-    return [
-        evolve_cumulants(BranchCumulants.initial(b.alpha, b.beta), coeffs,
-                         state.system_omega, times, rtol=rtol, atol=atol)
-        for b in state.branches
-    ]
+    """Evolve every branch from one shared solve; returns [branch][time] cumulants.
+
+    The unit branch (1, 0) is integrated once.  With its first cumulants
+    (x, y), branch (alpha, beta) has K10 = alpha x + beta conj(y) and
+    K01 = alpha y + beta conj(x), and every branch shares its second
+    cumulants (see the module docstring).
+    """
+    unit = evolve_cumulants(BranchCumulants.initial(1.0, 0.0), coeffs,
+                            state.system_omega, times, rtol=rtol, atol=atol)
+    out = []
+    for b in state.branches:
+        a, c = complex(b.alpha), complex(b.beta)
+        out.append([replace(u, alpha=a, beta=c,
+                            K10=a * u.K10 + c * u.K01.conjugate(),
+                            K01=a * u.K01 + c * u.K10.conjugate())
+                    for u in unit])
+    return out
 
 
 def effective_frequency(omega: float, gamma: float) -> float:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bath import DiscreteModes, gamma_functions
+from .bath import DiscreteModes, check_nonnegative, gamma_functions
 from .errors import IntegrationError, TruncationError
 from .wavepacket import WavepacketFrame
 
@@ -137,8 +137,7 @@ class LinearNonRWA:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.nbar < 0:
-            raise ValueError("gamma and nbar must be >= 0")
+        check_nonnegative(gamma=self.gamma, nbar=self.nbar)
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,7 @@ class LinearRWA:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.nbar < 0:
-            raise ValueError("gamma and nbar must be >= 0")
+        check_nonnegative(gamma=self.gamma, nbar=self.nbar)
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,7 @@ class QuadraticLindblad:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        if self.Gamma < 0 or self.nbar2 < 0:
-            raise ValueError("Gamma and nbar2 must be >= 0")
+        check_nonnegative(Gamma=self.Gamma, nbar2=self.nbar2)
 
 
 @dataclass(frozen=True)
@@ -167,8 +164,7 @@ class QuadraticLiteral:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        if self.Gamma < 0 or self.nbar2 < 0:
-            raise ValueError("Gamma and nbar2 must be >= 0")
+        check_nonnegative(Gamma=self.Gamma, nbar2=self.nbar2)
 
 
 @dataclass(frozen=True)

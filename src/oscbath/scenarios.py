@@ -78,10 +78,14 @@ class ScenarioConfig:
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.time_span, self.time_points)
 
-    def q_grid(self) -> np.ndarray:
+    @property
+    def q_bounds(self) -> Tuple[float, float]:
         q = self.raw.get("qgrid", {})
-        return np.linspace(float(q.get("min", -12.0)), float(q.get("max", 12.0)),
-                           int(q.get("points", 2048)))
+        return float(q.get("min", -12.0)), float(q.get("max", 12.0))
+
+    def q_grid(self) -> np.ndarray:
+        points = int(self.raw.get("qgrid", {}).get("points", 2048))
+        return np.linspace(*self.q_bounds, points)
 
     @classmethod
     def from_dict(cls, tree: dict, overrides: Optional[dict] = None) -> "ScenarioConfig":
@@ -91,12 +95,17 @@ class ScenarioConfig:
 
     # validation ------------------------------------------------------------
     def validate(self) -> None:
-        if self.omega <= 0:
-            raise ConfigError(f"omega must be > 0, got {self.omega}")
-        if self.time_span <= 0:
-            raise ConfigError(f"time.span must be > 0, got {self.time_span}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ConfigError(f"omega must be finite and > 0, got {self.omega}")
+        if not (math.isfinite(self.time_span) and self.time_span > 0):
+            raise ConfigError(f"time.span must be finite and > 0, got {self.time_span}")
         if self.time_points < 2:
             raise ConfigError("time.points must be >= 2")
+        q_min, q_max = self.q_bounds
+        if not (math.isfinite(q_min) and math.isfinite(q_max) and q_min < q_max):
+            raise ConfigError(
+                f"qgrid.min and qgrid.max must be finite with min < max, "
+                f"got min={q_min}, max={q_max}")
         bkind = self.bath.get("kind")
         if bkind not in BATH_KINDS:
             raise ConfigError(f"bath.kind must be one of {BATH_KINDS}, got {bkind!r}")

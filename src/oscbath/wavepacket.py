@@ -258,10 +258,19 @@ def frame_to_csv(frame: WavepacketFrame, path) -> None:
 
 
 def frames_to_csv(frames: Sequence[WavepacketFrame], path) -> None:
-    """Write a frame stack as long-format CSV with columns t,Q,P."""
+    """Write a frame stack as long-format CSV with columns t,Q,P.
+
+    Frames of a stack share one grid array, so the grid's repr strings are
+    formatted again only when the grid object changes; each frame is
+    written with a single join.
+    """
+    grid, q_strs = None, []
     with open(path, "w") as fh:
         fh.write("t,Q,P\n")
         for frame in frames:
-            t = float(frame.time)
-            for q, p in zip(frame.grid, frame.density):
-                fh.write(f"{t!r},{float(q)!r},{float(p)!r}\n")
+            if frame.grid is not grid:
+                grid = frame.grid
+                q_strs = [repr(q) for q in grid.tolist()]
+            prefix = f"{float(frame.time)!r},"
+            fh.write("".join(f"{prefix}{q},{p!r}\n"
+                             for q, p in zip(q_strs, frame.density.tolist())))

@@ -209,3 +209,82 @@ class TestValidation:
         with pytest.raises(ValueError):
             bath.flat_comb(center=0.4, width=1.0, n_modes=11,
                            total_coupling_sq=0.01)
+
+
+class TestSharedModeSums:
+    def test_arrays_built_once_and_read_only(self):
+        comb = bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                              total_coupling_sq=0.0064, occupation=0.5)
+        first, again = comb.arrays(), comb.arrays()
+        assert all(a is b for a, b in zip(first, again))
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        om, k2, occ = first
+        np.testing.assert_array_equal(om, [m.omega for m in comb.modes])
+        np.testing.assert_array_equal(k2, [m.coupling ** 2 for m in comb.modes])
+        np.testing.assert_array_equal(occ, [m.occupation for m in comb.modes])
+
+    def test_cached_arrays_leave_equality_alone(self):
+        modes = (bath.Mode(1.2, 0.2, 0.5), bath.Mode(0.7, 0.15, 0.2))
+        assert bath.DiscreteModes(modes) == bath.DiscreteModes(modes)
+        assert "_arrays" not in repr(bath.DiscreteModes(modes))
+
+    def test_mu_and_nu_share_one_call_per_time(self, monkeypatch):
+        calls = []
+        real = bath.gamma_functions
+        monkeypatch.setattr(bath, "gamma_functions",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        modes = bath.DiscreteModes((bath.Mode(1.2, 0.2, 0.5),
+                                    bath.Mode(0.7, 0.15, 0.2)))
+        co = bath.relaxation_coefficients(modes, 1.0)
+        for t in (0.5, 0.5, 1.5, 1.5, 0.5):
+            co.mu(t)
+            co.nu(t)
+        assert calls == [0.5, 1.5, 0.5]
+
+    def test_memo_pairs_mu_and_nu_of_one_time_across_threads(self):
+        # threads share one memo; a torn (t, mu, nu) entry would hand a
+        # thread the value of another thread's t
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        comb = bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                              total_coupling_sq=0.0064, occupation=0.5)
+        co = bath.relaxation_coefficients(comb, 1.0)
+        ts = np.linspace(0.0, 5.0, 400)
+        expected = [(bath.relaxation_coefficients(comb, 1.0).mu(t),
+                     bath.relaxation_coefficients(comb, 1.0).nu(t)) for t in ts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda t: (co.mu(t), co.nu(t)), t) for t in ts]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_array_times_bypass_the_memo(self):
+        modes = bath.DiscreteModes((bath.Mode(1.2, 0.2, 0.5),))
+        co = bath.relaxation_coefficients(modes, 1.0)
+        ts = np.array([0.5, 1.5])
+        assert np.allclose(co.nu(ts), [co.nu(0.5), co.nu(1.5)], rtol=0, atol=1e-15)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("make", [
+        lambda x: bath.LinearMarkov(gamma=x),
+        lambda x: bath.LinearMarkov(gamma=0.1, nbar=x),
+        lambda x: bath.QuadraticMarkov(Gamma=x),
+        lambda x: bath.QuadraticMarkov(Gamma=0.1, nbar2=x),
+        lambda x: bath.EarlyTime(Gamma0=x),
+        lambda x: bath.Mode(omega=x, coupling=0.1),
+        lambda x: bath.Mode(omega=1.0, coupling=x),
+        lambda x: bath.Mode(omega=1.0, coupling=0.1, occupation=x),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)

@@ -228,3 +228,86 @@ def test_branches_evolve_independently_in_parallel():
     for s_tr, p_tr in zip(serial, parallel):
         for a, b in zip(s_tr, p_tr):
             assert a == b
+
+
+SHARED_SOLVE_BATHS = {
+    "markov": (bath.LinearMarkov(gamma=0.1, nbar=0.6), np.linspace(0, 20.0, 21)),
+    "early-time": (bath.EarlyTime(Gamma0=0.3), np.linspace(0, 12.0, 25)),
+    "comb": (bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                            total_coupling_sq=0.0064, occupation=0.5),
+             np.linspace(0, 6.0, 13)),
+}
+
+
+def per_branch(state, coeffs, ts):
+    """The oracle: one independent integration per branch."""
+    return [cum.evolve_cumulants(cum.BranchCumulants.initial(b.alpha, b.beta),
+                                 coeffs, state.system_omega, ts)
+            for b in state.branches]
+
+
+class TestSharedSolve:
+    @pytest.mark.parametrize("kind", sorted(SHARED_SOLVE_BATHS))
+    @given(alpha=cplx, beta=cplx)
+    @settings(max_examples=6, deadline=None)
+    def test_matches_per_branch_oracle(self, kind, alpha, beta):
+        model, ts = SHARED_SOLVE_BATHS[kind]
+        coeffs = bath.relaxation_coefficients(model, 1.0)
+        state = cum.SuperpositionState(branches=(
+            cum.Branch(alpha=alpha, beta=beta, weight=1.0),
+            cum.Branch(alpha=beta, beta=alpha, weight=1.0)))
+        shared = cum.evolve_superposition(state, coeffs, ts)
+        oracle = per_branch(state, coeffs, ts)
+        # the floor only matters for subnormal amplitudes
+        first_tol = 1e-10 * (abs(alpha) + abs(beta)) + 1e-300
+        for b, s_tr, o_tr in zip(state.branches, shared, oracle):
+            for s, o in zip(s_tr, o_tr):
+                assert (s.alpha, s.beta) == (b.alpha, b.beta)
+                assert abs(s.K10 - o.K10) <= first_tol
+                assert abs(s.K01 - o.K01) <= first_tol
+                second_tol = 1e-10 * max(1.0, abs(o.variance_param))
+                for k in ("K11", "K20", "K02"):
+                    assert abs(getattr(s, k) - getattr(o, k)) <= second_tol
+
+    def test_one_integration_for_all_branches(self, monkeypatch):
+        calls = []
+        real = cum.evolve_cumulants
+
+        def counting(initial, *args, **kwargs):
+            calls.append((initial.K10, initial.K01))
+            return real(initial, *args, **kwargs)
+
+        monkeypatch.setattr(cum, "evolve_cumulants", counting)
+        out = cum.evolve_superposition(cum.make_cat(2.0, 0.3),
+                                       constant_coeffs(0.05, 0.02),
+                                       np.linspace(0, 3.0, 7))
+        assert calls == [(1.0, 0.0)]
+        assert len(out) == 4 and all(len(tr) == 7 for tr in out)
+
+    def test_initial_values_are_the_branch_labels(self):
+        state = cum.make_cat(1.2 + 0.4j, 0.7)
+        out = cum.evolve_superposition(state, constant_coeffs(0.05, 0.02),
+                                       np.linspace(0, 1.0, 3))
+        for b, tr in zip(state.branches, out):
+            assert tr[0] == cum.BranchCumulants.initial(b.alpha, b.beta)
+
+    def test_one_mode_sum_per_distinct_time(self, monkeypatch):
+        calls = []
+        real = bath.gamma_functions
+
+        def counting(modes, omega, t):
+            calls.append(t)
+            return real(modes, omega, t)
+
+        monkeypatch.setattr(bath, "gamma_functions", counting)
+        model, ts = SHARED_SOLVE_BATHS["comb"]
+        coeffs = bath.relaxation_coefficients(model, 1.0)
+        seen = []
+        mu, nu = coeffs.mu, coeffs.nu
+        coeffs = RelaxationCoefficients(mu=lambda t: seen.append(t) or mu(t),
+                                        nu=lambda t: seen.append(t) or nu(t))
+        cum.evolve_superposition(cum.make_cat(2.0, 0.0), coeffs, ts)
+        # RK45 asks for the same t in consecutive stages (c = 1 twice), and
+        # mu and nu of one stage share a time: each run of equal t is one call
+        distinct = [t for i, t in enumerate(seen) if i == 0 or t != seen[i - 1]]
+        assert calls == distinct and len(calls) > 0

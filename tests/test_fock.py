@@ -239,6 +239,23 @@ class TestIntegrate:
         assert traj.min_eigenvalue.min() > -1e-6
         assert not traj.truncation_flagged
 
+    @pytest.mark.parametrize("make", [
+        lambda x: fock.LinearNonRWA(gamma=x),
+        lambda x: fock.LinearNonRWA(gamma=0.1, nbar=x),
+        lambda x: fock.LinearRWA(gamma=x),
+        lambda x: fock.LinearRWA(gamma=0.1, nbar=x),
+        lambda x: fock.QuadraticLindblad(Gamma=x),
+        lambda x: fock.QuadraticLindblad(Gamma=0.1, nbar2=x),
+        lambda x: fock.QuadraticLiteral(Gamma=x),
+        lambda x: fock.QuadraticLiteral(Gamma=0.1, nbar2=x),
+        lambda x: fock.TimeDependent(
+            bath=bath.DiscreteModes((bath.Mode(1.0, x, 0.0),))),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_dissipator_rates_finite_and_nonnegative(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
     def test_input_validation(self):
         s0 = fock.coherent_density_matrix(1.0, 15)
         kind = fock.LinearRWA(gamma=0.1)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +86,21 @@ class TestConfigValidation:
                 "initial": {"kind": "coherent", "alpha": 1.0},
                 "solver": {"kind": "cumulant"},
                 "time": {"span": 1.0, "points": 5}})
+
+    @pytest.mark.parametrize("override, key", [
+        ({"omega": math.nan}, "omega"),
+        ({"omega": math.inf}, "omega"),
+        ({"time": {"span": math.inf}}, "time.span"),
+        ({"time": {"span": math.nan}}, "time.span"),
+        ({"qgrid": {"min": -math.inf}}, "qgrid"),
+        ({"qgrid": {"max": math.nan}}, "qgrid"),
+        ({"qgrid": {"min": 3.0, "max": -3.0}}, "qgrid"),
+        ({"bath": {"gamma": math.nan}}, "gamma"),
+        ({"bath": {"nbar": math.inf}}, "nbar"),
+    ])
+    def test_non_finite_fields_rejected(self, override, key):
+        with pytest.raises(ConfigError, match=key):
+            base_tree(**override)
 
     def test_kT_to_occupation(self):
         b = sc.build_bath({"kind": "linear-markov", "gamma": 0.1, "kT": 3.0}, 1.0)
@@ -316,6 +333,25 @@ class TestCli:
         rc = cli.main(["fig1", "--out", str(tmp_path), "--set", "bath.gamma=2.0"])
         assert rc == 1
         assert "underdamped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("bath.gamma=NaN", "gamma"),
+        ("time.span=Infinity", "time.span"),
+    ])
+    def test_non_finite_override_fails_fast(self, tmp_path, override, key):
+        # run in a child process: before validation caught these, the first
+        # hung the solver and the second failed with a misleading message
+        src = os.path.dirname(os.path.dirname(sc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "oscbath.cli", "fig1", "--out", str(tmp_path),
+             "--set", override],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert key in proc.stderr and "finite" in proc.stderr
+        assert os.listdir(tmp_path) == []
 
     def test_missing_config_exit_1(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.json")]) == 1

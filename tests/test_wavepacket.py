@@ -256,6 +256,22 @@ class TestFrameCsv:
             sq, sp = line.split(",")
             assert float(sq) == q and float(sp) == p
 
+    def test_stack_matches_row_by_row_formatter(self, tmp_path):
+        # two frames share one grid object, a third has its own grid
+        shared = np.linspace(-2, 2, 9)
+        other = np.linspace(-1, 1, 5) / 3.0
+        frames = [
+            wp.WavepacketFrame(time=0.1, grid=shared, density=np.exp(-shared**2) / 7),
+            wp.WavepacketFrame(time=2 / 3, grid=shared, density=np.cos(shared) * 1e-300),
+            wp.WavepacketFrame(time=1.0, grid=other, density=np.full(5, -0.0)),
+        ]
+        reference = "t,Q,P\n" + "".join(
+            f"{float(f.time)!r},{float(q)!r},{float(p)!r}\n"
+            for f in frames for q, p in zip(f.grid, f.density))
+        path = tmp_path / "stack.csv"
+        wp.frames_to_csv(frames, path)
+        assert path.read_bytes() == reference.encode()
+
     def test_stack_roundtrip_exact(self, tmp_path):
         grid = np.linspace(-2, 2, 9)
         frames = [wp.WavepacketFrame(time=t, grid=grid, density=np.cos(grid) + t)
