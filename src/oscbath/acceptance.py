@@ -341,14 +341,18 @@ class AcceptanceSuite:
         n1 = bath_mod.bose_occupation(omega, kT)
         n2 = bath_mod.bose_occupation(2 * omega, kT)
         dim = 40
+        times = np.linspace(0.0, 2.2, 120)
         vis = {}
         for label, kind in (
                 ("linear", fock_mod.LinearNonRWA(gamma=0.005, nbar=n1)),
                 ("quadratic", fock_mod.QuadraticLindblad(Gamma=0.005, nbar2=n2))):
-            t_col, v = _first_collision_visibility(kind, alpha, phi, omega, dim,
-                                                   self.conservation)
-            vis[label] = v
-            vis[label + "_t"] = t_col
+            run = fock_mod.cat_visibility(kind, alpha, phi, omega, dim, times)
+            for tr in (run.cat, run.mixture):
+                self.conservation.watch(tr)
+                _fock_frames_norm(tr, self.conservation, n_samples=3)
+            # fringe contrast at Q=0 at the first packet collision
+            vis[label] = float(run.visibility[run.i_collision])
+            vis[label + "_t"] = float(times[run.i_collision])
         ratio = vis["quadratic"] / vis["linear"]
         rt = time.perf_counter() - t0
         return CriterionResult(
@@ -434,37 +438,6 @@ def _abs_peaks(times: np.ndarray, q: np.ndarray):
     idx += [i for i in range(1, len(times) - 1)
             if aq[i] >= aq[i - 1] and aq[i] >= aq[i + 1] and aq[i] > 1e-9]
     return times[idx], aq[idx]
-
-
-def _first_collision_visibility(kind, alpha, phi, omega, dim, log):
-    """Fringe contrast at Q=0 at the first packet collision.
-
-    Runs the cat and its incoherent mixture under the same generator; the
-    collision is the first maximum of the mixture density at Q=0.
-    """
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * abs(alpha) ** 2)
-    mix_scale = 2.0 / n2
-    cat = fock_mod.cat_density_matrix(alpha, phi, dim)
-    mix = fock_mod.FockDensityMatrix(dim=dim, sigma=0.5 * (
-        fock_mod.coherent_density_matrix(alpha, dim).sigma
-        + fock_mod.coherent_density_matrix(-alpha, dim).sigma))
-    times = np.linspace(0.0, 2.2, 120)
-    tr_cat = fock_mod.integrate(kind, cat, omega, times)
-    tr_mix = fock_mod.integrate(kind, mix, omega, times)
-    log.watch(tr_cat)
-    log.watch(tr_mix)
-    _fock_frames_norm(tr_cat, log, n_samples=3)
-    _fock_frames_norm(tr_mix, log, n_samples=3)
-    q0 = np.array([0.0])
-    pc = np.array([fock_mod.position_density(
-        fock_mod.FockDensityMatrix(dim=dim, sigma=s), q0).density[0]
-        for s in tr_cat.states])
-    pm = np.array([fock_mod.position_density(
-        fock_mod.FockDensityMatrix(dim=dim, sigma=s), q0).density[0]
-        for s in tr_mix.states])
-    i = int(np.argmax(pm))
-    vis = float((pc[i] - mix_scale * pm[i]) / (mix_scale * pm[i]))
-    return float(times[i]), vis
 
 
 def run_acceptance(out_path: Optional[str] = None,

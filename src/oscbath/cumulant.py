@@ -119,18 +119,23 @@ def coherent_state(alpha0: complex, system_omega: float = 1.0) -> SuperpositionS
         system_omega=system_omega)
 
 
+def cat_norm2(alpha: complex, phi: float) -> float:
+    """Cat normalisation N^2 = 2 + 2 cos(phi) e^{-2|alpha|^2}."""
+    return 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * abs(alpha) ** 2)
+
+
 def make_cat(alpha: complex, phi: float, system_omega: float = 1.0) -> SuperpositionState:
     """Four-branch superposition N^-1(|alpha> + e^{i phi}|-alpha>).
 
     Branch labels (a*, a), (-a*, -a), (a*, -a), (-a*, a) with weights
-    N^-2 {1, 1, e^{-2|a|^2} e^{i phi}, e^{-2|a|^2} e^{-i phi}} and
-    N^2 = 2 + 2 cos(phi) e^{-2|a|^2}.
+    N^-2 {1, 1, e^{-2|a|^2} e^{i phi}, e^{-2|a|^2} e^{-i phi}}, N^2 from
+    cat_norm2.
     """
     a = complex(alpha)
     if abs(a) == 0:
         raise ValueError("cat state needs |alpha| > 0")
     overlap = math.exp(-2 * abs(a) ** 2)
-    n2 = 2.0 + 2.0 * math.cos(phi) * overlap
+    n2 = cat_norm2(a, phi)
     w_diag = 1.0 / n2
     w_off = overlap * cmath.exp(1j * phi) / n2
     return SuperpositionState(

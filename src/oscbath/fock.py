@@ -7,38 +7,45 @@ every accepted step the state is re-symmetrized, sigma <- (sigma +
 sigma^+)/2, and the correction magnitude is logged; the trace is never
 renormalized, so trace drift is a genuine quality metric.
 
-Generators (all exactly trace-free; each line is a commutator or a
-Lindblad form, and tr[A,B] = 0 termwise, which covers the literal
-quadratic form as well):
+Every dissipator kind is a list of terms of two shapes (both exactly
+trace-free, since tr[A,B] = 0 termwise):
 
-* phase-sensitive linear coupling (non-RWA), B = (n+1) a + n a^+:
-      R sigma = gamma ([B sigma, X] + [X, sigma B^+]),  X = a + a^+.
-  The second slot carries B^+, not B: with B in both slots the mean
-  coordinate never decays, contradicting the damped-oscillator limit the
-  same coupling produces for the Gaussian solvers.
+* Lindblad channel (rate, L, L^+, L^+L):
+      rate (2 L s L^+ - L^+L s - s L^+L) = rate D[L]s;
+* commutator sandwich (rate, C, Y, D):
+      rate ([C s, Y] + [Y, s D]).
+
+The kinds, with X = a + a^+:
+
+* phase-sensitive linear coupling (non-RWA), B = gamma ((n+1) a + n a^+):
+  the sandwich (1, B, X, B^+).  The second slot carries B^+, not B: with
+  B in both slots the mean coordinate never decays, contradicting the
+  damped-oscillator limit the same coupling produces for the Gaussian
+  solvers.
 * RWA damped oscillator, normalized so <a> decays as e^{-gamma t}:
-      gamma (n+1) D[a] + gamma n D[a^+],  D[L]s = 2 L s L^+ - {L^+L, s}.
-* two-quantum bath, standardized dissipator (default):
-      Gamma (n+1) D[a^2] + Gamma n D[(a^+)^2].
+  channels gamma (n+1) on a and gamma n on a^+.
+* two-quantum bath, standardized dissipator (default): channels
+  Gamma (n+1) on a^2 and Gamma n on (a^+)^2.
 * two-quantum bath, literal commutator form (kept for comparison; at
-  n = 0 it pumps |1> -> |3>, so it is not the default):
-      Gamma (n+1) ([a^2 s, a^+2] + [a^+2, s a^2])
-    + Gamma n     ([a^+2 s, a^2] + [a^2, s a^+2]).
-* time-dependent second-order kernel: C(t) a-coefficients come from the
-  bath gamma functions, C = (gamma_{n+1} + conj(gtilde_n)) a
-  + (conj(gamma_n) + gtilde_{n+1}) a^+, same sandwich as the non-RWA
-  linear form.
+  n = 0 it pumps |1> -> |3>, so it is not the default): the sandwiches
+  (Gamma (n+1), a^2, a^+2, a^2) and (Gamma n, a^+2, a^2, a^+2).
+* time-dependent second-order kernel: the sandwich (1, C(t), X, C(t)^+)
+  with C(t) = (gamma_{n+1} + conj(gtilde_n)) a + (conj(gamma_n)
+  + gtilde_{n+1}) a^+ from the bath gamma functions, rebuilt per t.
+
+Terms with a zero rate are left out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bath import DiscreteModes, check_nonnegative, gamma_functions
+from .cumulant import cat_norm2
 from .errors import IntegrationError, TruncationError
 from .wavepacket import WavepacketFrame
 
@@ -109,9 +116,8 @@ def cat_density_matrix(alpha: complex, phi: float, dim: int) -> FockDensityMatri
     """Density matrix of N^-1(|alpha> + e^{i phi} |-alpha>)."""
     if abs(alpha) == 0:
         raise ValueError("cat state needs |alpha| > 0")
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * abs(alpha) ** 2)
     psi = coherent_vector(alpha, dim) + np.exp(1j * phi) * coherent_vector(-alpha, dim)
-    sigma = np.outer(psi, psi.conj()) / n2
+    sigma = np.outer(psi, psi.conj()) / cat_norm2(alpha, phi)
     deficit = 1.0 - float(np.trace(sigma).real)
     if deficit > 1e-8:
         raise TruncationError(
@@ -131,6 +137,20 @@ def number_state_density_matrix(k: int, dim: int) -> FockDensityMatrix:
 # ---------------------------------------------------------------------------
 # dissipator kinds
 
+def _constant(sandwiches):
+    return lambda t: sandwiches
+
+
+def _thermal_pair(rate, nbar, down, up):
+    """Terms rate (n+1) down + rate n up, leaving out zero rates."""
+    terms = []
+    if rate > 0:
+        terms.append((rate * (nbar + 1),) + down)
+        if nbar > 0:
+            terms.append((rate * nbar,) + up)
+    return tuple(terms)
+
+
 @dataclass(frozen=True)
 class LinearNonRWA:
     gamma: float
@@ -138,6 +158,12 @@ class LinearNonRWA:
 
     def __post_init__(self):
         check_nonnegative(gamma=self.gamma, nbar=self.nbar)
+
+    def terms(self, a, ad, X, omega):
+        if self.gamma == 0:
+            return (), _constant(())
+        B = self.gamma * ((self.nbar + 1) * a + self.nbar * ad)
+        return (), _constant(((1.0, B, X, B.conj().T),))
 
 
 @dataclass(frozen=True)
@@ -148,6 +174,10 @@ class LinearRWA:
     def __post_init__(self):
         check_nonnegative(gamma=self.gamma, nbar=self.nbar)
 
+    def terms(self, a, ad, X, omega):
+        channels = _thermal_pair(self.gamma, self.nbar, (a, ad, ad @ a), (ad, a, a @ ad))
+        return channels, _constant(())
+
 
 @dataclass(frozen=True)
 class QuadraticLindblad:
@@ -156,6 +186,11 @@ class QuadraticLindblad:
 
     def __post_init__(self):
         check_nonnegative(Gamma=self.Gamma, nbar2=self.nbar2)
+
+    def terms(self, a, ad, X, omega):
+        A, Ad = a @ a, ad @ ad
+        channels = _thermal_pair(self.Gamma, self.nbar2, (A, Ad, Ad @ A), (Ad, A, A @ Ad))
+        return channels, _constant(())
 
 
 @dataclass(frozen=True)
@@ -166,6 +201,10 @@ class QuadraticLiteral:
     def __post_init__(self):
         check_nonnegative(Gamma=self.Gamma, nbar2=self.nbar2)
 
+    def terms(self, a, ad, X, omega):
+        A, Ad = a @ a, ad @ ad
+        return (), _constant(_thermal_pair(self.Gamma, self.nbar2, (A, Ad, A), (Ad, A, Ad)))
+
 
 @dataclass(frozen=True)
 class TimeDependent:
@@ -175,13 +214,35 @@ class TimeDependent:
         if not isinstance(self.bath, DiscreteModes):
             raise ValueError("TimeDependent requires a DiscreteModes bath")
 
+    def terms(self, a, ad, X, omega):
+        cache: Dict[float, Tuple[complex, complex]] = {}
+
+        def sandwiches(t):
+            if t < 0:
+                raise ValueError("time-dependent kernel is defined for t >= 0 only")
+            if t not in cache:
+                if len(cache) > 64:
+                    cache.clear()
+                g = gamma_functions(self.bath, omega, t)
+                cache[t] = (g.gamma_n1 + np.conj(g.gtilde_n),
+                            np.conj(g.gamma_n) + g.gtilde_n1)
+            mu_plus_nuc, nu = cache[t]
+            C = mu_plus_nuc * a + nu * ad
+            return ((1.0, C, X, C.conj().T),)
+        return (), sandwiches
+
 
 DissipatorKind = Union[LinearNonRWA, LinearRWA, QuadraticLindblad,
                        QuadraticLiteral, TimeDependent]
 
 
 class Liouvillian:
-    """Precomputed generator action d sigma/dt = L(sigma, t)."""
+    """Precomputed generator action d sigma/dt = L(sigma, t).
+
+    kind.terms(a, a^+, X, omega) gives the kind's Lindblad channels and a
+    function of t returning its commutator sandwiches; apply adds both to
+    the Hamiltonian phase.
+    """
 
     def __init__(self, kind: DissipatorKind, omega: float, dim: int):
         self.kind = kind
@@ -191,79 +252,17 @@ class Liouvillian:
         levels = np.arange(dim)
         # -i w [a^+a, sigma] acts elementwise as -i w (m - n) sigma_mn
         self._ham_phase = -1j * omega * (levels[:, None] - levels[None, :])
-        self._a, self._ad, self._X = a, ad, X
-        self._coeff_cache: Dict[float, Tuple[complex, complex]] = {}
-        if isinstance(kind, LinearNonRWA):
-            self._B = kind.gamma * ((kind.nbar + 1) * a + kind.nbar * ad)
-            self._Bd = self._B.conj().T
-        elif isinstance(kind, LinearRWA):
-            self._channels = []
-            if kind.gamma > 0:
-                self._channels.append((kind.gamma * (kind.nbar + 1), a, ad, ad @ a))
-                if kind.nbar > 0:
-                    self._channels.append((kind.gamma * kind.nbar, ad, a, a @ ad))
-        elif isinstance(kind, (QuadraticLindblad, QuadraticLiteral)):
-            A = a @ a
-            Ad = ad @ ad
-            self._A, self._Ad = A, Ad
-            self._AdA, self._AAd = Ad @ A, A @ Ad
+        self._channels, self._sandwiches = kind.terms(a, ad, X, omega)
 
     def apply(self, sigma: np.ndarray, t: float = 0.0) -> np.ndarray:
-        kind = self.kind
         out = self._ham_phase * sigma
-        if isinstance(kind, LinearNonRWA):
-            if kind.gamma > 0:
-                out += self._sandwich(self._B, self._Bd, sigma)
-        elif isinstance(kind, LinearRWA):
-            for rate, L, Ld, LdL in self._channels:
-                out += rate * (2.0 * (L @ sigma) @ Ld - LdL @ sigma - sigma @ LdL)
-        elif isinstance(kind, QuadraticLindblad):
-            G, nb = kind.Gamma, kind.nbar2
-            if G > 0:
-                out += G * (nb + 1) * (2.0 * (self._A @ sigma) @ self._Ad
-                                       - self._AdA @ sigma - sigma @ self._AdA)
-                if nb > 0:
-                    out += G * nb * (2.0 * (self._Ad @ sigma) @ self._A
-                                     - self._AAd @ sigma - sigma @ self._AAd)
-        elif isinstance(kind, QuadraticLiteral):
-            G, nb = kind.Gamma, kind.nbar2
-            A, Ad = self._A, self._Ad
-            if G > 0:
-                As = A @ sigma
-                sA = sigma @ A
-                out += G * (nb + 1) * (As @ Ad - Ad @ As + Ad @ sA - sA @ Ad)
-                if nb > 0:
-                    Ads = Ad @ sigma
-                    sAd = sigma @ Ad
-                    out += G * nb * (Ads @ A - A @ Ads + A @ sAd - sAd @ A)
-        elif isinstance(kind, TimeDependent):
-            mu_plus_nuc, nu = self._td_coefficients(t)
-            C = mu_plus_nuc * self._a + nu * self._ad
-            out += self._sandwich(C, C.conj().T, sigma)
-        else:
-            raise TypeError(f"unknown dissipator kind {kind!r}")
+        for rate, L, Ld, LdL in self._channels:
+            out += rate * (2.0 * (L @ sigma) @ Ld - LdL @ sigma - sigma @ LdL)
+        for rate, C, Y, D in self._sandwiches(t):
+            Cs = C @ sigma
+            sD = sigma @ D
+            out += rate * (Cs @ Y - Y @ Cs + Y @ sD - sD @ Y)
         return out
-
-    def _sandwich(self, C, Cd, sigma):
-        # [C sigma, X] + [X, sigma Cd]
-        Cs = C @ sigma
-        sCd = sigma @ Cd
-        X = self._X
-        return Cs @ X - X @ Cs + X @ sCd - sCd @ X
-
-    def _td_coefficients(self, t: float):
-        if t < 0:
-            raise ValueError("time-dependent kernel is defined for t >= 0 only")
-        cached = self._coeff_cache.get(t)
-        if cached is not None:
-            return cached
-        g = gamma_functions(self.kind.bath, self.omega, t)
-        nu = np.conj(g.gamma_n) + g.gtilde_n1
-        mu_plus_nuc = g.gamma_n1 + np.conj(g.gtilde_n)
-        if len(self._coeff_cache) > 64:
-            self._coeff_cache.clear()
-        self._coeff_cache[t] = (mu_plus_nuc, nu)
-        return mu_plus_nuc, nu
 
 
 def liouvillian_apply(kind: DissipatorKind, sigma: FockDensityMatrix,
@@ -471,6 +470,46 @@ def position_density(sigma: FockDensityMatrix, grid) -> WavepacketFrame:
         if dq > math.pi / k_max:
             warnings = ("fringe-nyquist",)
     return WavepacketFrame(time=0.0, grid=grid, density=density, warnings=warnings)
+
+
+def trajectory_frames(traj: FockTrajectory, grid) -> List[WavepacketFrame]:
+    """position_density of every state, stamped with its time."""
+    frames = []
+    for t, s in zip(traj.times, traj.states):
+        frame = position_density(FockDensityMatrix(dim=traj.dim, sigma=s), grid)
+        frame.time = float(t)
+        frames.append(frame)
+    return frames
+
+
+class CatVisibility(NamedTuple):
+    cat: FockTrajectory
+    mixture: FockTrajectory
+    visibility: np.ndarray
+    i_collision: int
+
+
+def cat_visibility(kind: DissipatorKind, alpha: complex, phi: float,
+                   omega: float, dim: int, times) -> CatVisibility:
+    """Fringe contrast at Q=0 of a cat against its incoherent mixture.
+
+    Runs the cat and (|alpha><alpha| + |-alpha><-alpha|)/2 under the same
+    generator; visibility = (P_cat(0) - s P_mix(0)) / (s P_mix(0)) per frame
+    with s = 2/N^2.  The first collision is the first maximum of the
+    mixture density at Q=0.
+    """
+    mix = FockDensityMatrix(dim=dim, sigma=0.5 * (
+        coherent_density_matrix(alpha, dim).sigma
+        + coherent_density_matrix(-alpha, dim).sigma))
+    tr_cat = integrate(kind, cat_density_matrix(alpha, phi, dim), omega, times)
+    tr_mix = integrate(kind, mix, omega, times)
+    q0 = np.array([0.0])
+    pc, pm = (np.array([f.density[0] for f in trajectory_frames(tr, q0)])
+              for tr in (tr_cat, tr_mix))
+    mix_scale = 2.0 / cat_norm2(alpha, phi)
+    return CatVisibility(cat=tr_cat, mixture=tr_mix,
+                         visibility=(pc - mix_scale * pm) / (mix_scale * pm),
+                         i_collision=int(np.argmax(pm)))
 
 
 def trajectory_observables(traj: FockTrajectory) -> dict:

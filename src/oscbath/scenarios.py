@@ -9,6 +9,7 @@ round-trip), iteration orders are fixed, and nothing draws randomness.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -26,8 +27,17 @@ from .errors import ConfigError
 BATH_KINDS = ("linear-markov", "quadratic-markov", "early-time", "discrete-modes")
 SOLVER_KINDS = ("cumulant", "analytic", "fock")
 INITIAL_KINDS = ("coherent", "cat", "number")
-FOCK_DISSIPATORS = ("linear-nonrwa", "linear-rwa", "quadratic-lindblad",
-                    "quadratic-literal", "time-dependent")
+# Fock dissipator name -> (bath kind, constructor from the built bath); the
+# first name listed for a bath kind is its default.
+FOCK_DISSIPATORS = {
+    "linear-nonrwa": ("linear-markov", lambda b: fock_mod.LinearNonRWA(b.gamma, b.nbar)),
+    "linear-rwa": ("linear-markov", lambda b: fock_mod.LinearRWA(b.gamma, b.nbar)),
+    "quadratic-lindblad": ("quadratic-markov",
+                           lambda b: fock_mod.QuadraticLindblad(b.Gamma, b.nbar2)),
+    "quadratic-literal": ("quadratic-markov",
+                          lambda b: fock_mod.QuadraticLiteral(b.Gamma, b.nbar2)),
+    "time-dependent": ("discrete-modes", lambda b: fock_mod.TimeDependent(b)),
+}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -68,12 +78,22 @@ class ScenarioConfig:
         return self.raw.get("solver", {})
 
     @property
+    def dissipators(self) -> Tuple[str, ...]:
+        """Fock dissipators allowed for this bath, the default first."""
+        bkind = self.bath.get("kind")
+        return tuple(name for name, (b, _) in FOCK_DISSIPATORS.items() if b == bkind)
+
+    @property
+    def dissipator(self) -> Optional[str]:
+        return self.solver.get("dissipator", next(iter(self.dissipators), None))
+
+    @property
     def time_span(self) -> float:
         return float(self.raw.get("time", {}).get("span", 10.0))
 
     @property
     def time_points(self) -> int:
-        return int(self.raw.get("time", {}).get("points", 400))
+        return _integer("time.points", self.raw.get("time", {}).get("points", 400))
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.time_span, self.time_points)
@@ -83,9 +103,12 @@ class ScenarioConfig:
         q = self.raw.get("qgrid", {})
         return float(q.get("min", -12.0)), float(q.get("max", 12.0))
 
+    @property
+    def q_points(self) -> int:
+        return _integer("qgrid.points", self.raw.get("qgrid", {}).get("points", 2048))
+
     def q_grid(self) -> np.ndarray:
-        points = int(self.raw.get("qgrid", {}).get("points", 2048))
-        return np.linspace(*self.q_bounds, points)
+        return np.linspace(*self.q_bounds, self.q_points)
 
     @classmethod
     def from_dict(cls, tree: dict, overrides: Optional[dict] = None) -> "ScenarioConfig":
@@ -101,6 +124,10 @@ class ScenarioConfig:
             raise ConfigError(f"time.span must be finite and > 0, got {self.time_span}")
         if self.time_points < 2:
             raise ConfigError("time.points must be >= 2")
+        self.q_points  # raises ConfigError unless a finite integer
+        for key in ("alpha", "phi"):
+            if key in self.initial:
+                _finite(f"initial.{key}", self.initial[key])
         q_min, q_max = self.q_bounds
         if not (math.isfinite(q_min) and math.isfinite(q_max) and q_min < q_max):
             raise ConfigError(
@@ -129,15 +156,19 @@ class ScenarioConfig:
                 f"the analytic solver covers only the linear Markov bath, "
                 f"not {bkind!r}")
         if skind == "fock":
-            diss = self.solver.get("dissipator", _default_dissipator(bkind))
+            _integer("solver.dim", self.solver.get("dim", 30))
+            if ikind == "number":
+                _integer("initial.k", self.initial.get("k", 0))
+            diss = self.dissipator
             if diss is None:
                 raise ConfigError(
                     "the early-time bath is a closed-form limit with no Fock "
                     "dissipator; use solver.kind='cumulant' or 'analytic'")
             if diss not in FOCK_DISSIPATORS:
                 raise ConfigError(
-                    f"solver.dissipator must be one of {FOCK_DISSIPATORS}, got {diss!r}")
-            allowed = _allowed_dissipators(bkind)
+                    f"solver.dissipator must be one of {tuple(FOCK_DISSIPATORS)}, "
+                    f"got {diss!r}")
+            allowed = self.dissipators
             if diss not in allowed:
                 raise ConfigError(
                     f"dissipator {diss!r} does not match bath {bkind!r}; "
@@ -149,22 +180,21 @@ class ScenarioConfig:
                 f"(gamma={built.gamma}, omega={self.omega})")
 
 
-def _default_dissipator(bath_kind: str) -> Optional[str]:
-    return {
-        "linear-markov": "linear-nonrwa",
-        "quadratic-markov": "quadratic-lindblad",
-        "discrete-modes": "time-dependent",
-        "early-time": None,
-    }.get(bath_kind)
+def _finite(key: str, value) -> complex:
+    try:
+        x = _cplx(value)
+    except (TypeError, ValueError):
+        x = complex("nan")
+    if not cmath.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return x
 
 
-def _allowed_dissipators(bath_kind: str) -> Tuple[str, ...]:
-    return {
-        "linear-markov": ("linear-nonrwa", "linear-rwa"),
-        "quadratic-markov": ("quadratic-lindblad", "quadratic-literal"),
-        "discrete-modes": ("time-dependent",),
-        "early-time": (),
-    }[bath_kind]
+def _integer(key: str, value) -> int:
+    x = _finite(key, value)
+    if x.imag != 0 or not x.real.is_integer():
+        raise ConfigError(f"{key} must be a finite integer, got {value!r}")
+    return int(x.real)
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +260,6 @@ def build_fock_state(cfg: dict, dim: int) -> fock_mod.FockDensityMatrix:
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
-def build_dissipator(cfg_solver: dict, bath: bath_mod.BathModel) -> fock_mod.DissipatorKind:
-    name = cfg_solver.get("dissipator")
-    if name is None:
-        if isinstance(bath, bath_mod.LinearMarkov):
-            name = "linear-nonrwa"
-        elif isinstance(bath, bath_mod.QuadraticMarkov):
-            name = "quadratic-lindblad"
-        elif isinstance(bath, bath_mod.DiscreteModes):
-            name = "time-dependent"
-        else:
-            raise ConfigError("no Fock dissipator exists for the early-time bath")
-    if name == "linear-nonrwa":
-        return fock_mod.LinearNonRWA(gamma=bath.gamma, nbar=bath.nbar)
-    if name == "linear-rwa":
-        return fock_mod.LinearRWA(gamma=bath.gamma, nbar=bath.nbar)
-    if name == "quadratic-lindblad":
-        return fock_mod.QuadraticLindblad(Gamma=bath.Gamma, nbar2=bath.nbar2)
-    if name == "quadratic-literal":
-        return fock_mod.QuadraticLiteral(Gamma=bath.Gamma, nbar2=bath.nbar2)
-    if name == "time-dependent":
-        return fock_mod.TimeDependent(bath=bath)
-    raise ConfigError(f"unknown dissipator {name!r}")
-
-
 def _cplx(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
@@ -303,7 +309,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         _analytic_run(result, config, bath, state, grid)
     elif skind == "fock":
         dim = int(config.solver.get("dim", 30))
-        kind = build_dissipator(config.solver, bath)
+        kind = FOCK_DISSIPATORS[config.dissipator][1](bath)
         sigma0 = build_fock_state(config.initial, dim)
         rtol = float(config.solver.get("rtol", 1e-8))
         atol = float(config.solver.get("atol", 1e-10))
@@ -314,12 +320,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         result.meta["truncation_flagged"] = traj.truncation_flagged
         result.meta["positivity_flagged"] = traj.positivity_flagged
         if emit_frames:
-            result.frames = []
-            for t, s in zip(times, traj.states):
-                frame = fock_mod.position_density(
-                    fock_mod.FockDensityMatrix(dim=dim, sigma=s), grid)
-                frame.time = float(t)
-                result.frames.append(frame)
+            result.frames = fock_mod.trajectory_frames(traj, grid)
         result.meta["trajectory"] = traj
     else:
         raise ConfigError(f"unknown solver kind {skind!r}")
@@ -449,7 +450,7 @@ def _early_interference_q0(alpha: complex, phi: float, Gamma0: float,
                            omega: float, t) -> float:
     """Early-stage interference at Q=0: no amplitude decay, V = 1/2 + G0 t^2."""
     a2 = abs(alpha) ** 2
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * a2)
+    n2 = cum.cat_norm2(alpha, phi)
     V = 0.5 + Gamma0 * t * t
     y_half = np.imag(alpha * np.exp(1j * omega * t))
     return float((1.0 / n2) / math.sqrt(math.pi * V)
@@ -482,13 +483,9 @@ def run_fig3(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     cat = fock_mod.cat_density_matrix(alpha, phi, dim)
     kind = fock_mod.LinearRWA(gamma=gamma, nbar=nbar)
     traj = fock_mod.integrate(kind, cat, omega, times)
-    q0 = np.array([0.0])
-    p_fock = np.array([
-        fock_mod.position_density(
-            fock_mod.FockDensityMatrix(dim=dim, sigma=s), q0).density[0]
-        for s in traj.states])
-    a2 = abs(alpha) ** 2
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * a2)
+    p_fock = np.array([f.density[0]
+                       for f in fock_mod.trajectory_frames(traj, np.array([0.0]))])
+    n2 = cum.cat_norm2(alpha, phi)
     V_rwa = 0.5 + nbar * (1.0 - np.exp(-2 * gamma * times))
     centers = 2.0 * np.real(alpha * np.exp(-1j * omega * times)) * np.exp(-gamma * times)
     mixture0 = (2.0 / n2) / (2.0 * np.sqrt(math.pi * V_rwa)) \
@@ -554,42 +551,19 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     phi = float(bc["phi"])
     times_bc = np.linspace(0.0, float(bc["span"]), int(bc["points"]))
     grid = config.q_grid()
-    cat = fock_mod.cat_density_matrix(alpha, phi, dim)
-    mix = fock_mod.FockDensityMatrix(dim=dim, sigma=0.5 * (
-        fock_mod.coherent_density_matrix(alpha, dim).sigma
-        + fock_mod.coherent_density_matrix(-alpha, dim).sigma))
     kinds = {
         "b_linear": fock_mod.LinearNonRWA(gamma=float(bc["gamma"]), nbar=n1),
         "c_quadratic": fock_mod.QuadraticLindblad(Gamma=float(bc["Gamma"]), nbar2=n2occ),
     }
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * abs(alpha) ** 2)
-    mix_scale = 2.0 / n2
-    q0 = np.array([0.0])
     vis = {}
     for label, kind in kinds.items():
-        tr_cat = fock_mod.integrate(kind, cat, omega, times_bc)
-        tr_mix = fock_mod.integrate(kind, mix, omega, times_bc)
-        frames = []
-        v = np.empty(times_bc.size)
-        pm0 = np.empty(times_bc.size)
-        for i, (t, sc, sm) in enumerate(zip(times_bc, tr_cat.states, tr_mix.states)):
-            fr = fock_mod.position_density(
-                fock_mod.FockDensityMatrix(dim=dim, sigma=sc), grid)
-            fr.time = float(t)
-            frames.append(fr)
-            pc = fock_mod.position_density(
-                fock_mod.FockDensityMatrix(dim=dim, sigma=sc), q0).density[0]
-            pm = fock_mod.position_density(
-                fock_mod.FockDensityMatrix(dim=dim, sigma=sm), q0).density[0]
-            pm0[i] = pm
-            v[i] = (pc - mix_scale * pm) / (mix_scale * pm)
-        result.extra_frames[label] = frames
-        vis[label] = v
-        result.meta[f"{label}_trajectory"] = tr_cat
-        # first collision = first maximum of the mixture density at Q=0
-        i_col = int(np.argmax(pm0))
+        run = fock_mod.cat_visibility(kind, alpha, phi, omega, dim, times_bc)
+        result.extra_frames[label] = fock_mod.trajectory_frames(run.cat, grid)
+        vis[label] = run.visibility
+        result.meta[f"{label}_trajectory"] = run.cat
+        i_col = run.i_collision
         result.meta[f"{label}_first_collision_t"] = float(times_bc[i_col])
-        result.meta[f"{label}_first_collision_visibility"] = float(v[i_col])
+        result.meta[f"{label}_first_collision_visibility"] = float(run.visibility[i_col])
     result.extra_series["bc"] = (times_bc, {
         "visibility_linear": vis["b_linear"],
         "visibility_quadratic": vis["c_quadratic"]})

@@ -35,7 +35,8 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .cumulant import BranchCumulants, SuperpositionState, effective_frequency
+from .cumulant import (BranchCumulants, SuperpositionState, cat_norm2,
+                       effective_frequency)
 from .errors import IntegrationError
 
 
@@ -138,7 +139,7 @@ def interference_term(alpha: complex, phi: float, gamma: float, omega: float,
     _, V, z = analytic_markov(alpha, gamma, omega, nbar, float(t))
     Q = np.asarray(Q, dtype=float)
     a2 = abs(alpha) ** 2
-    n2 = 2.0 + 2.0 * math.cos(phi) * math.exp(-2.0 * a2)
+    n2 = cat_norm2(alpha, phi)
     y_half = np.imag(alpha * z) * math.exp(-gamma * t)  # = Im(a z) e^{-gt}
     expo = -2.0 * a2 + (4.0 * y_half**2 - Q * Q) / (4.0 * V)
     val = (1.0 / n2) / math.sqrt(math.pi * V) * np.exp(expo) \

@@ -86,7 +86,50 @@ class TestStates:
             fock.number_state_density_matrix(6, 6)
 
 
+def dense_generator(kind, sigma, omega, t):
+    """Module-docstring generators from ladder matrices built here."""
+    dim = sigma.shape[0]
+    a = np.zeros((dim, dim))
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(n)
+    ad = a.T
+    X = a + ad
+
+    def comm(A, B):
+        return A @ B - B @ A
+
+    def D(L):
+        Ld = L.conj().T
+        return 2 * L @ sigma @ Ld - Ld @ L @ sigma - sigma @ Ld @ L
+
+    def sandwich(C, Y, Dm):
+        return comm(C @ sigma, Y) + comm(Y, sigma @ Dm)
+
+    out = -1j * omega * comm(ad @ a, sigma)
+    if isinstance(kind, fock.LinearNonRWA):
+        B = kind.gamma * ((kind.nbar + 1) * a + kind.nbar * ad)
+        return out + sandwich(B, X, B.conj().T)
+    if isinstance(kind, fock.LinearRWA):
+        return out + kind.gamma * ((kind.nbar + 1) * D(a) + kind.nbar * D(ad))
+    A, Ad = a @ a, ad @ ad
+    if isinstance(kind, fock.QuadraticLindblad):
+        return out + kind.Gamma * ((kind.nbar2 + 1) * D(A) + kind.nbar2 * D(Ad))
+    if isinstance(kind, fock.QuadraticLiteral):
+        return out + kind.Gamma * ((kind.nbar2 + 1) * sandwich(A, Ad, A)
+                                   + kind.nbar2 * sandwich(Ad, A, Ad))
+    g = bath.gamma_functions(kind.bath, omega, t)
+    C = (g.gamma_n1 + np.conj(g.gtilde_n)) * a + (np.conj(g.gamma_n) + g.gtilde_n1) * ad
+    return out + sandwich(C, X, C.conj().T)
+
+
 class TestLiouvillian:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+    def test_matches_dense_oracle(self, kind):
+        sigma = random_hermitian_state(12, seed=7)
+        ds = fock.liouvillian_apply(kind, sigma, t=0.7, omega=1.3)
+        expected = dense_generator(kind, sigma.sigma, 1.3, 0.7)
+        assert np.abs(ds - expected).max() < 1e-12
+
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
     def test_trace_free(self, kind):
         sigma = random_hermitian_state(12, seed=3)

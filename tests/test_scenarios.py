@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscbath import cli, scenarios as sc
+from oscbath import cli, fock, scenarios as sc
 from oscbath.errors import ConfigError
 
 
@@ -73,6 +73,45 @@ class TestConfigValidation:
                 "solver": {"kind": "fock", "dissipator": "quadratic-lindblad"},
                 "time": {"span": 1.0, "points": 5}})
 
+    @pytest.mark.parametrize("bath_kind, default", [
+        ("linear-markov", fock.LinearNonRWA),
+        ("quadratic-markov", fock.QuadraticLindblad),
+        ("discrete-modes", fock.TimeDependent),
+        ("early-time", None),
+    ])
+    def test_dissipator_table(self, bath_kind, default, monkeypatch):
+        built = []
+        real = fock.integrate
+
+        def capture(kind, *args, **kwargs):
+            built.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "integrate", capture)
+        tree = {
+            "bath": BATHS[bath_kind],
+            "initial": {"kind": "coherent", "alpha": 0.3},
+            "solver": {"kind": "fock", "dim": 16},
+            "time": {"span": 0.5, "points": 5},
+            "emit_frames": False,
+        }
+        if default is None:
+            with pytest.raises(ConfigError, match="closed-form limit"):
+                sc.ScenarioConfig.from_dict(tree)
+            return
+        sc.run_scenario(sc.ScenarioConfig.from_dict(tree))
+        assert type(built.pop()) is default
+        names = {"linear-nonrwa": fock.LinearNonRWA, "linear-rwa": fock.LinearRWA,
+                 "quadratic-lindblad": fock.QuadraticLindblad,
+                 "quadratic-literal": fock.QuadraticLiteral,
+                 "time-dependent": fock.TimeDependent}
+        allowed = [n for n, (b, _) in sc.FOCK_DISSIPATORS.items() if b == bath_kind]
+        assert allowed and set(sc.FOCK_DISSIPATORS) == set(names)
+        for name in allowed:
+            tree["solver"]["dissipator"] = name
+            sc.run_scenario(sc.ScenarioConfig.from_dict(tree))
+            assert type(built.pop()) is names[name]
+
     def test_bad_fields_rejected(self):
         with pytest.raises(ConfigError):
             base_tree(**{"omega": -1.0})
@@ -97,6 +136,16 @@ class TestConfigValidation:
         ({"qgrid": {"min": 3.0, "max": -3.0}}, "qgrid"),
         ({"bath": {"gamma": math.nan}}, "gamma"),
         ({"bath": {"nbar": math.inf}}, "nbar"),
+        ({"initial": {"alpha": math.nan}}, "initial.alpha"),
+        ({"initial": {"alpha": [1.0, math.inf]}}, "initial.alpha"),
+        ({"initial": {"kind": "cat", "phi": math.nan}}, "initial.phi"),
+        ({"time": {"points": math.nan}}, "time.points"),
+        ({"time": {"points": 20.5}}, "time.points"),
+        ({"qgrid": {"points": math.inf}}, "qgrid.points"),
+        ({"solver": {"kind": "fock", "dim": math.nan}}, "solver.dim"),
+        ({"solver": {"kind": "fock", "dim": 12.5}}, "solver.dim"),
+        ({"solver": {"kind": "fock"}, "initial": {"kind": "number", "k": math.inf}},
+         "initial.k"),
     ])
     def test_non_finite_fields_rejected(self, override, key):
         with pytest.raises(ConfigError, match=key):
@@ -337,6 +386,9 @@ class TestCli:
     @pytest.mark.parametrize("override, key", [
         ("bath.gamma=NaN", "gamma"),
         ("time.span=Infinity", "time.span"),
+        ("initial.alpha=NaN", "initial.alpha"),
+        ("initial.phi=NaN", "initial.phi"),
+        ("time.points=NaN", "time.points"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
         # run in a child process: before validation caught these, the first
