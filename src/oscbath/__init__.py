@@ -57,6 +57,7 @@ from .fock import (
     number_state_density_matrix,
     observables,
     position_density,
+    propagate,
 )
 from .wavepacket import (
     GaussianBranchDensity,

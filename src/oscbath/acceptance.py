@@ -107,7 +107,7 @@ class AcceptanceSuite:
         target = math.sqrt(omega**2 - gamma**2)
         s0 = fock_mod.coherent_density_matrix(1.0, 30)
         times = np.linspace(0.0, 4 * 2 * math.pi / target, 400)
-        traj = fock_mod.integrate(fock_mod.LinearNonRWA(gamma=gamma, nbar=nbar),
+        traj = fock_mod.propagate(fock_mod.LinearNonRWA(gamma=gamma, nbar=nbar),
                                   s0, omega, times)
         self.conservation.watch(traj)
         _fock_frames_norm(traj, self.conservation)
@@ -135,7 +135,7 @@ class AcceptanceSuite:
         omega, gamma = 1.0, 0.05
         times = np.linspace(0.0, 10 * 2 * math.pi, 200)
         s0 = fock_mod.coherent_density_matrix(1.0, 30)
-        traj = fock_mod.integrate(fock_mod.LinearNonRWA(gamma=gamma, nbar=0.0),
+        traj = fock_mod.propagate(fock_mod.LinearNonRWA(gamma=gamma, nbar=0.0),
                                   s0, omega, times)
         self.conservation.watch(traj)
         _fock_frames_norm(traj, self.conservation)
@@ -188,7 +188,7 @@ class AcceptanceSuite:
         s0 = fock_mod.coherent_density_matrix(2.0, 40)
         span, npts = 40.0, 400
         times = np.linspace(0.0, span, npts)
-        traj = fock_mod.integrate(fock_mod.LinearNonRWA(gamma=gamma, nbar=nbar),
+        traj = fock_mod.propagate(fock_mod.LinearNonRWA(gamma=gamma, nbar=nbar),
                                   s0, omega, times)
         self.conservation.watch(traj)
         _fock_frames_norm(traj, self.conservation)
@@ -259,7 +259,7 @@ class AcceptanceSuite:
         dim = 20
         s1 = fock_mod.number_state_density_matrix(1, dim)
         times = np.linspace(0.0, 10.0 / G, 100)
-        tr1 = fock_mod.integrate(fock_mod.QuadraticLindblad(Gamma=G, nbar2=0.0),
+        tr1 = fock_mod.propagate(fock_mod.QuadraticLindblad(Gamma=G, nbar2=0.0),
                                  s1, omega, times)
         self.conservation.watch(tr1)
         _fock_frames_norm(tr1, self.conservation, n_samples=3)
@@ -268,7 +268,7 @@ class AcceptanceSuite:
 
         s2 = fock_mod.number_state_density_matrix(2, dim)
         t2 = np.linspace(0.0, 2.0, 80)
-        tr2 = fock_mod.integrate(fock_mod.QuadraticLindblad(Gamma=G, nbar2=0.0),
+        tr2 = fock_mod.propagate(fock_mod.QuadraticLindblad(Gamma=G, nbar2=0.0),
                                  s2, omega, t2)
         self.conservation.watch(tr2)
         _fock_frames_norm(tr2, self.conservation, n_samples=3)
@@ -301,7 +301,7 @@ class AcceptanceSuite:
         omega = 1.0
         s0 = fock_mod.coherent_density_matrix(-1.1, 30)
         times = np.linspace(0.0, 30.0, 600)
-        tr_quad = fock_mod.integrate(
+        tr_quad = fock_mod.propagate(
             fock_mod.QuadraticLindblad(Gamma=0.5, nbar2=0.0), s0, omega, times)
         self.conservation.watch(tr_quad)
         _fock_frames_norm(tr_quad, self.conservation, n_samples=3)
@@ -312,7 +312,7 @@ class AcceptanceSuite:
         late = float(np.mean(rates[-3:]))
         ratio = early / late if late > 0 else math.inf
 
-        tr_lin = fock_mod.integrate(
+        tr_lin = fock_mod.propagate(
             fock_mod.LinearNonRWA(gamma=0.15, nbar=0.0), s0, omega, times)
         self.conservation.watch(tr_lin)
         _fock_frames_norm(tr_lin, self.conservation, n_samples=3)

@@ -1,11 +1,22 @@
-"""Truncated number-basis density-matrix integrator.
+"""Truncated number-basis density-matrix solvers.
 
 Implements the reduced-density-matrix generators on a finite level basis
-(a|n> = sqrt(n)|n-1>, Q = a + a^+) and integrates them with a classic
-fourth-order Runge-Kutta scheme under step-doubling error control.  After
-every accepted step the state is re-symmetrized, sigma <- (sigma +
-sigma^+)/2, and the correction magnitude is logged; the trace is never
-renormalized, so trace drift is a genuine quality metric.
+(a|n> = sqrt(n)|n-1>, Q = a + a^+) and evolves them two ways:
+
+* integrate: classic fourth-order Runge-Kutta under step-doubling error
+  control, for any kind and the only path for the time-dependent kernel.
+  After every accepted step the state is re-symmetrized, sigma <- (sigma +
+  sigma^+)/2; herm_drift is the largest correction of a reporting interval.
+* propagate: exp(L t) sigma0 on a uniform grid, for the time-independent
+  kinds.  When the generator keeps the coherence order m - n (RWA and both
+  two-quantum forms) it splits into 2 dim - 1 blocks of size <= dim, each
+  exponentiated once at the grid step; otherwise (non-RWA) expm_multiply
+  (Al-Mohy & Higham 2011) covers the grid in runs of frames.  The frames
+  are exact propagations of sigma0 with no re-symmetrization in between,
+  so herm_drift is each frame's own defect |sigma - sigma^+|_max before
+  the recorded state is symmetrized.
+
+Neither renormalizes the trace, so trace drift is a genuine quality metric.
 
 Every dissipator kind is a list of terms of two shapes (both exactly
 trace-free, since tr[A,B] = 0 termwise):
@@ -39,15 +50,30 @@ Terms with a zero rate are left out.
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .bath import DiscreteModes, check_nonnegative, gamma_functions
 from .cumulant import cat_norm2
 from .errors import IntegrationError, TruncationError
 from .wavepacket import WavepacketFrame
+
+
+# Largest trace deficit of an initial state: the state builders raise
+# TruncationError above it, integrate and propagate refuse such a state.
+TRUNCATION_DEFICIT = 1e-9
+# Per-frame monitors: top-level population that flags / aborts a run, and
+# the minimum eigenvalue below which positivity is flagged.
+TOP_WARN = 1e-6
+TOP_ERROR = 1e-3
+POSITIVITY_THRESHOLD = -1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +115,12 @@ class FockDensityMatrix:
 def coherent_density_matrix(alpha: complex, dim: int) -> FockDensityMatrix:
     """|alpha><alpha| truncated to dim levels.
 
-    Raises TruncationError if the truncated trace deficit exceeds 1e-8
-    (the Poisson tail of |<n|alpha>|^2 beyond the basis).
+    Raises TruncationError if the truncated trace deficit exceeds
+    TRUNCATION_DEFICIT (the Poisson tail of |<n|alpha>|^2 beyond the basis).
     """
     c = coherent_vector(alpha, dim)
     deficit = 1.0 - float(np.vdot(c, c).real)
-    if deficit > 1e-8:
+    if deficit > TRUNCATION_DEFICIT:
         raise TruncationError(
             f"coherent state alpha={alpha} loses {deficit:.3e} probability "
             f"on {dim} levels; enlarge dim")
@@ -119,7 +145,7 @@ def cat_density_matrix(alpha: complex, phi: float, dim: int) -> FockDensityMatri
     psi = coherent_vector(alpha, dim) + np.exp(1j * phi) * coherent_vector(-alpha, dim)
     sigma = np.outer(psi, psi.conj()) / cat_norm2(alpha, phi)
     deficit = 1.0 - float(np.trace(sigma).real)
-    if deficit > 1e-8:
+    if deficit > TRUNCATION_DEFICIT:
         raise TruncationError(
             f"cat state alpha={alpha} loses {deficit:.3e} probability "
             f"on {dim} levels; enlarge dim")
@@ -241,7 +267,7 @@ class Liouvillian:
 
     kind.terms(a, a^+, X, omega) gives the kind's Lindblad channels and a
     function of t returning its commutator sandwiches; apply adds both to
-    the Hamiltonian phase.
+    the Hamiltonian phase, superoperator builds the same sum as a matrix.
     """
 
     def __init__(self, kind: DissipatorKind, omega: float, dim: int):
@@ -264,6 +290,27 @@ class Liouvillian:
             out += rate * (Cs @ Y - Y @ Cs + Y @ sD - sD @ Y)
         return out
 
+    def superoperator(self, t: float = 0.0) -> scipy.sparse.csr_array:
+        """Sparse matrix S with vec(apply(sigma, t)) = S vec(sigma).
+
+        vec is row-major, vec(sigma)[m dim + n] = sigma_mn, so that
+        vec(A sigma B) = kron(A, B^T) vec(sigma).
+        """
+        def kron(A, B):
+            return scipy.sparse.kron(scipy.sparse.csr_array(A),
+                                     scipy.sparse.csr_array(B), format="csr")
+
+        eye = np.eye(self.dim)
+        diag = np.arange(self.dim * self.dim)
+        S = scipy.sparse.coo_array((self._ham_phase.ravel(), (diag, diag))).tocsr()
+        for rate, L, Ld, LdL in self._channels:
+            S = S + rate * (2.0 * kron(L, Ld.T) - kron(LdL, eye) - kron(eye, LdL.T))
+        for rate, C, Y, D in self._sandwiches(t):
+            S = S + rate * (kron(C, Y.T) - kron(Y @ C, eye)
+                            + kron(Y, D.T) - kron(eye, (D @ Y).T))
+        S.eliminate_zeros()
+        return S
+
 
 def liouvillian_apply(kind: DissipatorKind, sigma: FockDensityMatrix,
                       t: float = 0.0, omega: float = 1.0) -> np.ndarray:
@@ -272,7 +319,7 @@ def liouvillian_apply(kind: DissipatorKind, sigma: FockDensityMatrix,
 
 
 # ---------------------------------------------------------------------------
-# adaptive RK4 with step doubling
+# trajectories: adaptive RK4 and the exact propagator
 
 @dataclass
 class FockTrajectory:
@@ -283,7 +330,7 @@ class FockTrajectory:
     dim: int
     omega: float
     trace: np.ndarray
-    herm_drift: np.ndarray          # max pre-resymmetrization defect per interval
+    herm_drift: np.ndarray          # pre-symmetrization defect per frame (see module)
     min_eigenvalue: np.ndarray
     top_population: np.ndarray
     n_accepted: int
@@ -304,11 +351,32 @@ def _rk4(f, t, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _checked_grid(t_grid: Sequence[float], sigma0: FockDensityMatrix) -> np.ndarray:
+    """The input checks integrate and propagate share; returns the grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValueError("t_grid must be a 1-d grid")
+    if t_grid[0] != 0.0:
+        raise ValueError("time grid must start at 0")
+    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    if sigma0.hermiticity_defect() > 1e-10:
+        raise ValueError("initial state is not Hermitian")
+    if sigma0.trace_defect() > TRUNCATION_DEFICIT:
+        raise ValueError("initial state is not unit trace")
+    return t_grid
+
+
+def _top_population_error(top: float, limit: float, t: float) -> TruncationError:
+    return TruncationError(f"top-level population {top:.3e} exceeded "
+                           f"{limit:g} at t={t:g}; enlarge dim")
+
+
 def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
               t_grid: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
               first_step: Optional[float] = None,
-              truncation_warn: float = 1e-6, truncation_error: float = 1e-3,
-              positivity_threshold: float = -1e-6,
+              truncation_warn: float = TOP_WARN, truncation_error: float = TOP_ERROR,
+              positivity_threshold: float = POSITIVITY_THRESHOLD,
               max_steps: int = 5_000_000) -> FockTrajectory:
     """Adaptive step-doubling RK4 trajectory reported at grid points.
 
@@ -320,17 +388,7 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     monitored per frame (never clipped); dips below positivity_threshold
     set a flag.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a 1-d grid")
-    if t_grid[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    if sigma0.hermiticity_defect() > 1e-10:
-        raise ValueError("initial state is not Hermitian")
-    if sigma0.trace_defect() > 1e-9:
-        raise ValueError("initial state is not unit trace")
+    t_grid = _checked_grid(t_grid, sigma0)
 
     L = Liouvillian(kind, omega, sigma0.dim)
 
@@ -394,9 +452,7 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
                 y = 0.5 * (y + y.conj().T)
                 top = float(y[-1, -1].real)
                 if top > truncation_error:
-                    raise TruncationError(
-                        f"top-level population {top:.3e} exceeded "
-                        f"{truncation_error:g} at t={t:g}; enlarge dim")
+                    raise _top_population_error(top, truncation_error, t)
                 if top > truncation_warn:
                     trunc_flag = True
                 if not landing:
@@ -416,6 +472,124 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
         truncation_flagged=trunc_flag,
         positivity_flagged=bool(np.min(mins) < positivity_threshold))
     return traj
+
+
+def _coherence_blocks(S, dim: int):
+    """S split by coherence order q = m - n, or None if it couples orders.
+
+    Returns (blocks, gather, scatter): blocks[q + dim - 1] is the block of
+    S on the entries sigma_mn with m - n = q, entry (m, n) at row min(m, n),
+    zero-padded to dim x dim; vec(sigma)[gather] stacks the entries by
+    block, and the flattened block stack indexed by scatter is vec(sigma)
+    again.
+    """
+    m, n = np.divmod(np.arange(dim * dim), dim)
+    block = m - n + dim - 1
+    slot = np.minimum(m, n)
+    S = S.tocoo()
+    S.sum_duplicates()
+    rows, cols = S.row, S.col
+    if np.any(block[rows] != block[cols]):
+        return None
+    blocks = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
+    blocks[block[rows], slot[rows], slot[cols]] = S.data
+    gather = np.zeros((2 * dim - 1, dim), dtype=np.intp)
+    gather[block, slot] = np.arange(dim * dim)
+    return blocks, gather, block * dim + slot
+
+
+_GLOBAL_RNG_LOCK = threading.Lock()
+
+
+def _frame_stack(n: int, dim: int) -> np.ndarray:
+    """Zeroed complex (n, dim, dim) array in an anonymous memory map.
+
+    A trajectory's frames take megabytes and live as long as its caller
+    keeps them.  Kept in the malloc heap, freed stacks left holes there
+    that raised the peak RSS of repeated fig4 runs by 7-8 %; a map of its
+    own goes back to the system when the last view of it is dropped.
+    """
+    buffer = mmap.mmap(-1, n * dim * dim * np.dtype(complex).itemsize)
+    return np.frombuffer(buffer, dtype=complex).reshape(n, dim, dim)
+
+
+def propagate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
+              t_grid: Sequence[float]) -> FockTrajectory:
+    """exp(L t) sigma0 at the points of a uniform grid, for a constant L.
+
+    The grid must be uniform to rounding (any np.linspace(0, T, n)).  The
+    generator is Liouvillian.superoperator(); when no entry of it couples
+    different coherence orders, each order's block is exponentiated once at
+    the grid step and the frames follow by block mat-vecs, otherwise
+    expm_multiply gives the frames, one call per run of up to 1 MB of
+    them.  The frames are never re-symmetrized in between, so the states
+    are exp(L t) sigma0 as computed, symmetrized only when recorded.
+    The monitors are integrate's,
+    evaluated per frame: trace, pre-symmetrization defect (herm_drift),
+    minimum eigenvalue and top-level population, which flags the run above
+    TOP_WARN and raises TruncationError above TOP_ERROR.  n_accepted counts
+    the grid intervals; nothing is ever rejected.
+    """
+    if isinstance(kind, TimeDependent):
+        raise ValueError("propagate needs a time-independent generator; "
+                         "use integrate for TimeDependent")
+    t_grid = _checked_grid(t_grid, sigma0)
+    n_t, dim = t_grid.size, sigma0.dim
+    t_end = float(t_grid[-1])
+    if np.abs(t_grid - np.linspace(0.0, t_end, n_t)).max() > 1e-12 * t_end:
+        raise ValueError("propagate needs a uniform time grid")
+
+    S = Liouvillian(kind, omega, dim).superoperator()
+    split = _coherence_blocks(S, dim)
+    frames = _frame_stack(n_t, dim)
+    frames[0] = sigma0.sigma
+    flat = frames.reshape(n_t, dim * dim)
+    h = t_end / max(n_t - 1, 1)
+    if split is not None:
+        blocks, gather, scatter = split
+        # in place, one block at a time: blocks[b] becomes exp(h S_b)
+        for b, size in enumerate(dim - np.abs(np.arange(1 - dim, dim))):
+            blocks[b, :size, :size] = scipy.linalg.expm(h * blocks[b, :size, :size])
+        for k in range(1, n_t):
+            stacked = np.matmul(blocks, flat[k - 1][gather][..., None])
+            flat[k] = stacked.reshape(-1)[scatter]
+    else:
+        # expm_multiply over runs of frames whose output fits in 1 MB, each
+        # starting from the last frame of the one before, so that no
+        # multi-MB array passes through the heap (see _frame_stack).  It
+        # picks its step count from norm estimates drawn from numpy's global
+        # random stream; seed it for every call so that reruns are
+        # byte-identical, then hand the caller's stream back.
+        per_call = max(1, (1 << 20) // flat[0].nbytes - 1)
+        with _GLOBAL_RNG_LOCK:
+            rng_state = np.random.get_state()
+            try:
+                for k in range(1, n_t, per_call):
+                    m = min(per_call, n_t - k)
+                    np.random.seed(0)
+                    flat[k:k + m] = scipy.sparse.linalg.expm_multiply(
+                        S, flat[k - 1], start=0.0, stop=m * h, num=m + 1,
+                        endpoint=True)[1:]
+            finally:
+                np.random.set_state(rng_state)
+
+    drifts = np.empty(n_t)
+    for k, s in enumerate(frames):
+        drifts[k] = np.abs(s - s.conj().T).max()
+        s[...] = 0.5 * (s + s.conj().T)
+    tops = frames[:, -1, -1].real.copy()
+    over = np.flatnonzero(tops > TOP_ERROR)
+    if over.size:
+        k = over[0]
+        raise _top_population_error(tops[k], TOP_ERROR, t_grid[k])
+    mins = np.linalg.eigvalsh(frames).min(axis=1)
+    return FockTrajectory(
+        times=t_grid.copy(), states=list(frames), dim=dim, omega=omega,
+        trace=np.trace(frames, axis1=1, axis2=2).real, herm_drift=drifts,
+        min_eigenvalue=mins, top_population=tops,
+        n_accepted=n_t - 1, n_rejected=0,
+        truncation_flagged=bool(np.any(tops > TOP_WARN)),
+        positivity_flagged=bool(mins.min() < POSITIVITY_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +631,16 @@ def hermite_functions(dim: int, grid) -> np.ndarray:
 def position_density(sigma: FockDensityMatrix, grid) -> WavepacketFrame:
     """P(Q) = sum_mn sigma_mn psi_m(Q) psi_n(Q) on the grid."""
     grid = np.asarray(grid, dtype=float)
-    psi = hermite_functions(sigma.dim, grid)
-    u = sigma.sigma @ psi
+    return _density_frame(sigma.sigma, grid, hermite_functions(sigma.dim, grid))
+
+
+def _density_frame(s: np.ndarray, grid: np.ndarray, psi: np.ndarray,
+                   time: float = 0.0) -> WavepacketFrame:
+    """position_density of the matrix s with the basis psi on grid given."""
+    u = s @ psi
     density = np.einsum("mj,mj->j", psi, u).real
     warnings: Tuple[str, ...] = ()
-    pops = np.real(np.diag(sigma.sigma))
+    pops = np.real(np.diag(s))
     occupied = np.nonzero(pops > 1e-6)[0]
     if occupied.size and grid.size > 1:
         n_top = int(occupied.max())
@@ -469,17 +648,19 @@ def position_density(sigma: FockDensityMatrix, grid) -> WavepacketFrame:
         dq = float(np.max(np.diff(grid)))
         if dq > math.pi / k_max:
             warnings = ("fringe-nyquist",)
-    return WavepacketFrame(time=0.0, grid=grid, density=density, warnings=warnings)
+    return WavepacketFrame(time=time, grid=grid, density=density, warnings=warnings)
 
 
 def trajectory_frames(traj: FockTrajectory, grid) -> List[WavepacketFrame]:
-    """position_density of every state, stamped with its time."""
-    frames = []
-    for t, s in zip(traj.times, traj.states):
-        frame = position_density(FockDensityMatrix(dim=traj.dim, sigma=s), grid)
-        frame.time = float(t)
-        frames.append(frame)
-    return frames
+    """position_density of every state, stamped with its time.
+
+    The Hermite basis is built once for all frames; each frame's density
+    has the same bytes as position_density of the same state.
+    """
+    grid = np.asarray(grid, dtype=float)
+    psi = hermite_functions(traj.dim, grid)
+    return [_density_frame(s, grid, psi, float(t))
+            for t, s in zip(traj.times, traj.states)]
 
 
 class CatVisibility(NamedTuple):
@@ -501,8 +682,8 @@ def cat_visibility(kind: DissipatorKind, alpha: complex, phi: float,
     mix = FockDensityMatrix(dim=dim, sigma=0.5 * (
         coherent_density_matrix(alpha, dim).sigma
         + coherent_density_matrix(-alpha, dim).sigma))
-    tr_cat = integrate(kind, cat_density_matrix(alpha, phi, dim), omega, times)
-    tr_mix = integrate(kind, mix, omega, times)
+    tr_cat = propagate(kind, cat_density_matrix(alpha, phi, dim), omega, times)
+    tr_mix = propagate(kind, mix, omega, times)
     q0 = np.array([0.0])
     pc, pm = (np.array([f.density[0] for f in trajectory_frames(tr, q0)])
               for tr in (tr_cat, tr_mix))

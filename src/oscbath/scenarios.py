@@ -27,6 +27,8 @@ from .errors import ConfigError
 BATH_KINDS = ("linear-markov", "quadratic-markov", "early-time", "discrete-modes")
 SOLVER_KINDS = ("cumulant", "analytic", "fock")
 INITIAL_KINDS = ("coherent", "cat", "number")
+# fig4's sub-run tables (numeric leaves; dim and points are integers)
+FIG4_SUBRUNS = ("a", "bc")
 # Fock dissipator name -> (bath kind, constructor from the built bath); the
 # first name listed for a bath kind is its default.
 FOCK_DISSIPATORS = {
@@ -128,6 +130,13 @@ class ScenarioConfig:
         for key in ("alpha", "phi"):
             if key in self.initial:
                 _finite(f"initial.{key}", self.initial[key])
+        for label in FIG4_SUBRUNS:
+            sub = self.raw.get(label, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{label} must be a table of sub-run settings")
+            for key, value in sub.items():
+                check = _integer if key in ("dim", "points") else _finite
+                check(f"{label}.{key}", value)
         q_min, q_max = self.q_bounds
         if not (math.isfinite(q_min) and math.isfinite(q_max) and q_min < q_max):
             raise ConfigError(
@@ -190,6 +199,13 @@ def _finite(key: str, value) -> complex:
     return x
 
 
+def _real(key: str, value) -> float:
+    x = _finite(key, value)
+    if x.imag != 0:
+        raise ConfigError(f"{key} must be a finite real number, got {value!r}")
+    return x.real
+
+
 def _integer(key: str, value) -> int:
     x = _finite(key, value)
     if x.imag != 0 or not x.real.is_integer():
@@ -205,12 +221,14 @@ def build_bath(cfg: dict, omega: float) -> bath_mod.BathModel:
     try:
         if kind == "linear-markov":
             nbar = _occupation(cfg, omega)
-            return bath_mod.LinearMarkov(gamma=float(cfg["gamma"]), nbar=nbar)
+            return bath_mod.LinearMarkov(gamma=_real("bath.gamma", cfg["gamma"]),
+                                         nbar=nbar)
         if kind == "quadratic-markov":
             nbar2 = _occupation(cfg, 2 * omega, key="nbar2")
-            return bath_mod.QuadraticMarkov(Gamma=float(cfg["Gamma"]), nbar2=nbar2)
+            return bath_mod.QuadraticMarkov(Gamma=_real("bath.Gamma", cfg["Gamma"]),
+                                            nbar2=nbar2)
         if kind == "early-time":
-            return bath_mod.EarlyTime(Gamma0=float(cfg["Gamma0"]))
+            return bath_mod.EarlyTime(Gamma0=_real("bath.Gamma0", cfg["Gamma0"]))
         if kind == "discrete-modes":
             if "comb" in cfg:
                 c = cfg["comb"]
@@ -225,16 +243,16 @@ def build_bath(cfg: dict, omega: float) -> bath_mod.BathModel:
             return bath_mod.DiscreteModes(modes)
     except KeyError as exc:
         raise ConfigError(f"bath config for {kind!r} is missing {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown bath kind {kind!r}")
 
 
 def _occupation(cfg: dict, at_omega: float, key: str = "nbar") -> float:
     if key in cfg:
-        return float(cfg[key])
+        return _real(f"bath.{key}", cfg[key])
     if "kT" in cfg:
-        return bath_mod.bose_occupation(at_omega, float(cfg["kT"]))
+        return bath_mod.bose_occupation(at_omega, _real("bath.kT", cfg["kT"]))
     return 0.0
 
 
@@ -261,9 +279,12 @@ def build_fock_state(cfg: dict, dim: int) -> fock_mod.FockDensityMatrix:
 
 
 def _cplx(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(float(v[0]), float(v[1]))
+        return complex(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected a number or [re, im], got {v!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +332,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         dim = int(config.solver.get("dim", 30))
         kind = FOCK_DISSIPATORS[config.dissipator][1](bath)
         sigma0 = build_fock_state(config.initial, dim)
-        rtol = float(config.solver.get("rtol", 1e-8))
-        atol = float(config.solver.get("atol", 1e-10))
-        traj = fock_mod.integrate(kind, sigma0, omega, times, rtol=rtol, atol=atol)
+        if isinstance(kind, fock_mod.TimeDependent):
+            rtol = float(config.solver.get("rtol", 1e-8))
+            atol = float(config.solver.get("atol", 1e-10))
+            traj = fock_mod.integrate(kind, sigma0, omega, times, rtol=rtol, atol=atol)
+        else:
+            traj = fock_mod.propagate(kind, sigma0, omega, times)
         result.series.update(fock_mod.trajectory_observables(traj))
         result.meta["n_accepted"] = traj.n_accepted
         result.meta["n_rejected"] = traj.n_rejected
@@ -482,7 +506,7 @@ def run_fig3(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     dim = int(config.solver.get("dim", 30))
     cat = fock_mod.cat_density_matrix(alpha, phi, dim)
     kind = fock_mod.LinearRWA(gamma=gamma, nbar=nbar)
-    traj = fock_mod.integrate(kind, cat, omega, times)
+    traj = fock_mod.propagate(kind, cat, omega, times)
     p_fock = np.array([f.density[0]
                        for f in fock_mod.trajectory_frames(traj, np.array([0.0]))])
     n2 = cum.cat_norm2(alpha, phi)
@@ -532,10 +556,10 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     dim_a = int(a_cfg["dim"])
     alpha0 = _cplx(a_cfg["alpha0"])
     s0 = fock_mod.coherent_density_matrix(alpha0, dim_a)
-    tr_lin = fock_mod.integrate(
+    tr_lin = fock_mod.propagate(
         fock_mod.LinearNonRWA(gamma=float(a_cfg["gamma"]), nbar=0.0),
         s0, omega, times_a)
-    tr_quad = fock_mod.integrate(
+    tr_quad = fock_mod.propagate(
         fock_mod.QuadraticLindblad(Gamma=float(a_cfg["Gamma"]), nbar2=0.0),
         s0, omega, times_a)
     result.series["meanQ_linear"] = fock_mod.trajectory_observables(tr_lin)["meanQ"]

@@ -68,6 +68,16 @@ class TestStates:
         with pytest.raises(TruncationError):
             fock.cat_density_matrix(2.0, math.pi / 2, 8)
 
+    def test_one_truncation_tolerance(self):
+        # |alpha|^2 = 1.21 on 12 levels loses 6.8e-9, between the builders'
+        # former 1e-8 and the 1e-9 trace check of the solvers: the builder
+        # must refuse it as truncation, not hand it on
+        with pytest.raises(TruncationError, match="enlarge dim"):
+            fock.coherent_density_matrix(-1.1, 12)
+        s = fock.coherent_density_matrix(-1.1, 13)
+        assert s.trace_defect() <= fock.TRUNCATION_DEFICIT
+        fock.propagate(fock.LinearRWA(gamma=0.1), s, 1.0, np.linspace(0, 1.0, 3))
+
     def test_cat_parity_oracle(self):
         # direct number-basis sum vs N^-2 (2 cos phi + 2 e^{-2|a|^2})
         for phi in (0.0, math.pi / 2, 2.0):
@@ -337,6 +347,114 @@ class TestIntegrate:
             assert np.array_equal(a, b)
 
 
+class TestPropagate:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+    def test_superoperator_matches_apply(self, kind):
+        sigma = random_hermitian_state(12, seed=5).sigma
+        L = fock.Liouvillian(kind, 1.3, 12)
+        ds = (L.superoperator(0.7) @ sigma.ravel()).reshape(12, 12)
+        assert np.abs(ds - L.apply(sigma, 0.7)).max() < 1e-12
+
+    @pytest.mark.parametrize("make, state", [
+        (lambda n: fock.LinearRWA(gamma=0.1, nbar=n), "coherent"),
+        (lambda n: fock.LinearNonRWA(gamma=0.1, nbar=n), "coherent"),
+        (lambda n: fock.QuadraticLindblad(Gamma=0.1, nbar2=n), "coherent"),
+        # the literal form is not Hermiticity-preserving on coherences, which
+        # integrate projects out at every step; diagonal states stay Hermitian
+        (lambda n: fock.QuadraticLiteral(Gamma=0.005, nbar2=n), "mixture"),
+    ], ids=["LinearRWA", "LinearNonRWA", "QuadraticLindblad", "QuadraticLiteral"])
+    @pytest.mark.parametrize("nbar", [0.0, 0.4])
+    def test_matches_rk4(self, make, state, nbar):
+        dim = 24
+        if state == "coherent":
+            s0 = fock.coherent_density_matrix(0.9 + 0.6j, dim)
+        else:
+            pops = np.zeros(dim)
+            pops[:4] = (0.4, 0.3, 0.2, 0.1)
+            s0 = fock.FockDensityMatrix(dim=dim, sigma=np.diag(pops))
+        ts = np.linspace(0.0, 6.0, 31)
+        exact = fock.propagate(make(nbar), s0, 1.0, ts)
+        rk4 = fock.integrate(make(nbar), s0, 1.0, ts)
+        dev = max(np.abs(a - b).max() for a, b in zip(exact.states, rk4.states))
+        assert dev <= 1e-7
+        assert np.abs(exact.trace - 1.0).max() <= 1e-9
+        assert exact.herm_drift.max() <= 1e-12
+        assert exact.n_accepted == len(ts) - 1 and exact.n_rejected == 0
+        assert exact.truncation_flagged == rk4.truncation_flagged
+        assert not exact.positivity_flagged
+
+    @pytest.mark.parametrize("kind, span", [
+        (fock.QuadraticLindblad(Gamma=0.3, nbar2=0.5), 3.0),
+        # the literal form pumps upward, out of the basis, within a few units
+        (fock.QuadraticLiteral(Gamma=0.02, nbar2=0.5), 1.0),
+    ], ids=["QuadraticLindblad", "QuadraticLiteral"])
+    def test_two_quantum_parity(self, kind, span):
+        # a^2 and a^+2 move two levels at a time: the level parity is exact
+        dim = 30
+        s0 = fock.number_state_density_matrix(3, dim)
+        traj = fock.propagate(kind, s0, 1.0, np.linspace(0.0, span, 60))
+        for s in traj.states:
+            assert np.real(np.diag(s))[::2].sum() <= 1e-10
+        assert np.abs(traj.trace - 1.0).max() <= 1e-9
+
+    def test_block_and_sparse_paths(self, monkeypatch):
+        # the coherence-order test picks the path; only non-RWA takes
+        # expm_multiply, in runs of at most 1 MB of frames (71 at dim 30)
+        # that must join into the single-call result
+        import scipy.sparse.linalg
+
+        calls = []
+        real = scipy.sparse.linalg.expm_multiply
+
+        def count(*args, **kwargs):
+            calls.append(kwargs["num"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", count)
+        s0 = fock.coherent_density_matrix(1.0, 30)
+        ts = np.linspace(0.0, 3.0, 150)
+        for kind in (ALL_KINDS[1], ALL_KINDS[2], fock.QuadraticLiteral(Gamma=0.001)):
+            fock.propagate(kind, s0, 1.0, ts[:9])
+        assert calls == []
+        traj = fock.propagate(ALL_KINDS[0], s0, 1.0, ts)
+        assert calls == [72, 72, 8]
+        S = fock.Liouvillian(ALL_KINDS[0], 1.0, 30).superoperator()
+        whole = real(S, s0.sigma.ravel(), start=0.0, stop=3.0, num=150, endpoint=True)
+        assert np.abs(np.stack(traj.states).reshape(150, -1) - whole).max() < 1e-12
+
+    def test_reruns_identical_and_random_stream_untouched(self):
+        # here expm_multiply's random norm estimates split the grid into
+        # different steps under numpy seeds 0 and 5 (frames differ by 8e-15)
+        kind = fock.LinearNonRWA(gamma=0.209, nbar=0.84)
+        s0 = fock.coherent_density_matrix(1.0, 18)
+        ts = np.linspace(0.0, 12.5, 131)
+        runs = []
+        for seed in (0, 5):
+            np.random.seed(seed)
+            runs.append(fock.propagate(kind, s0, 1.62, ts))
+            after = np.random.random()
+            np.random.seed(seed)
+            assert np.random.random() == after
+        for a, b in zip(*(run.states for run in runs)):
+            assert np.array_equal(a, b)
+
+    def test_rejects_time_dependent_and_nonuniform_grids(self):
+        s0 = fock.coherent_density_matrix(1.0, 15)
+        with pytest.raises(ValueError, match="time-independent"):
+            fock.propagate(ALL_KINDS[-1], s0, 1.0, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match="uniform"):
+            fock.propagate(fock.LinearRWA(gamma=0.1), s0, 1.0,
+                           np.array([0.0, 0.5, 1.2, 1.5]))
+        with pytest.raises(ValueError):
+            fock.propagate(fock.LinearRWA(gamma=0.1), s0, 1.0, np.array([0.5, 1.0]))
+
+    def test_truncation_error_on_overflowing_basis(self):
+        s0 = fock.number_state_density_matrix(3, 5)
+        kind = fock.LinearRWA(gamma=0.2, nbar=1.0)
+        with pytest.raises(TruncationError, match="enlarge dim"):
+            fock.propagate(kind, s0, 1.0, np.linspace(0, 20, 10))
+
+
 class TestObservablesAndDensity:
     def test_hermite_orthonormal(self):
         grid = np.linspace(-20, 20, 4001)
@@ -368,6 +486,18 @@ class TestObservablesAndDensity:
         assert obs["V"] == pytest.approx(0.5, abs=1e-9)
         assert obs["purity"] == pytest.approx(1.0, abs=1e-9)
         assert obs["populations"][0] == pytest.approx(math.exp(-1.25), rel=1e-9)
+
+    def test_trajectory_frames_equal_position_density(self):
+        s0 = fock.cat_density_matrix(1.5, 0.3, 24)
+        ts = np.linspace(0.0, 3.0, 7)
+        traj = fock.propagate(fock.LinearNonRWA(gamma=0.1, nbar=0.5), s0, 1.0, ts)
+        grid = np.linspace(-8, 8, 257)
+        frames = fock.trajectory_frames(traj, grid)
+        assert [f.time for f in frames] == list(ts)
+        for f, s in zip(frames, traj.states):
+            one = fock.position_density(fock.FockDensityMatrix(dim=24, sigma=s), grid)
+            assert f.density.tobytes() == one.density.tobytes()
+            assert f.warnings == one.warnings
 
     def test_thermal_variance_saturation(self):
         omega, gamma = 1.0, 0.1

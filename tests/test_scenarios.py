@@ -81,13 +81,16 @@ class TestConfigValidation:
     ])
     def test_dissipator_table(self, bath_kind, default, monkeypatch):
         built = []
-        real = fock.integrate
 
-        def capture(kind, *args, **kwargs):
-            built.append(kind)
-            return real(kind, *args, **kwargs)
+        def capture(real):
+            def run(kind, *args, **kwargs):
+                built.append(kind)
+                return real(kind, *args, **kwargs)
+            return run
 
-        monkeypatch.setattr(fock, "integrate", capture)
+        # constant kinds go through propagate, TimeDependent through integrate
+        for solver in ("integrate", "propagate"):
+            monkeypatch.setattr(fock, solver, capture(getattr(fock, solver)))
         tree = {
             "bath": BATHS[bath_kind],
             "initial": {"kind": "coherent", "alpha": 0.3},
@@ -125,6 +128,12 @@ class TestConfigValidation:
                 "initial": {"kind": "coherent", "alpha": 1.0},
                 "solver": {"kind": "cumulant"},
                 "time": {"span": 1.0, "points": 5}})
+        # values of the wrong type are config errors too, not TypeErrors
+        with pytest.raises(ConfigError):
+            base_tree(**{"bath": {"kind": "discrete-modes",
+                                  "modes": [[1.0, [0.1]]]}})
+        with pytest.raises(ConfigError):
+            sc.build_superposition({"kind": "coherent", "alpha": [[1.0], 2.0]}, 1.0)
 
     @pytest.mark.parametrize("override, key", [
         ({"omega": math.nan}, "omega"),
@@ -389,21 +398,34 @@ class TestCli:
         ("initial.alpha=NaN", "initial.alpha"),
         ("initial.phi=NaN", "initial.phi"),
         ("time.points=NaN", "time.points"),
+        ("bath.gamma=[1]", "bath.gamma"),
+        ("a.dim=NaN", "a.dim"),
+        ("bc.points=NaN", "bc.points"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
         # run in a child process: before validation caught these, the first
-        # hung the solver and the second failed with a misleading message
+        # hung the solver and the second failed with a misleading message;
+        # the a.* and bc.* leaves belong to fig4's sub-runs
+        figure = "fig4" if override.startswith(("a.", "bc.")) else "fig1"
         src = os.path.dirname(os.path.dirname(sc.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
-            [sys.executable, "-m", "oscbath.cli", "fig1", "--out", str(tmp_path),
+            [sys.executable, "-m", "oscbath.cli", figure, "--out", str(tmp_path),
              "--set", override],
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 1
         assert key in proc.stderr and "finite" in proc.stderr
         assert os.listdir(tmp_path) == []
+
+    def test_truncated_fig4_basis_exit_2(self, tmp_path, capsys):
+        # alpha0 = -1.1 loses 6.8e-9 of its probability on 12 levels: a
+        # truncation, not a malformed state
+        rc = cli.main(["fig4", "--out", str(tmp_path), "--set", "a.dim=12"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "enlarge dim" in err and "unit trace" not in err
 
     def test_missing_config_exit_1(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.json")]) == 1
