@@ -53,7 +53,7 @@ import math
 import mmap
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -374,19 +374,15 @@ def _top_population_error(top: float, limit: float, t: float) -> TruncationError
 
 def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
               t_grid: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
-              first_step: Optional[float] = None,
-              truncation_warn: float = TOP_WARN, truncation_error: float = TOP_ERROR,
-              positivity_threshold: float = POSITIVITY_THRESHOLD,
               max_steps: int = 5_000_000) -> FockTrajectory:
     """Adaptive step-doubling RK4 trajectory reported at grid points.
 
     Each accepted step takes one h-step and two h/2-steps, combines them
     with local extrapolation, and re-symmetrizes the state; the
     pre-symmetrization defect is logged per reporting interval.  The
-    top-level population is watched: above truncation_warn the run is
-    flagged, above truncation_error it aborts.  The minimum eigenvalue is
-    monitored per frame (never clipped); dips below positivity_threshold
-    set a flag.
+    top-level population is watched: above TOP_WARN the run is flagged,
+    above TOP_ERROR it aborts.  The minimum eigenvalue is monitored per
+    frame (never clipped); dips below POSITIVITY_THRESHOLD set a flag.
     """
     t_grid = _checked_grid(t_grid, sigma0)
 
@@ -397,7 +393,7 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
 
     y = sigma0.sigma.copy()
     t = 0.0
-    h = first_step if first_step is not None else 1e-3 / omega
+    h = 1e-3 / omega
     n_acc = n_rej = 0
     trunc_flag = False
 
@@ -416,13 +412,8 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
         tops.append(float(y[-1, -1].real))
 
     frame_drift = 0.0
-    if t_grid[0] == 0.0:
-        record(0.0)
-        targets = t_grid[1:]
-    else:
-        targets = t_grid
-
-    for target in targets:
+    record(0.0)
+    for target in t_grid[1:]:
         while True:
             remaining = target - t
             if remaining <= 1e-12 * max(1.0, target):
@@ -451,9 +442,9 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
                 frame_drift = max(frame_drift, defect)
                 y = 0.5 * (y + y.conj().T)
                 top = float(y[-1, -1].real)
-                if top > truncation_error:
-                    raise _top_population_error(top, truncation_error, t)
-                if top > truncation_warn:
+                if top > TOP_ERROR:
+                    raise _top_population_error(top, TOP_ERROR, t)
+                if top > TOP_WARN:
                     trunc_flag = True
                 if not landing:
                     grow = 0.9 * ratio ** -0.2 if ratio > 0 else 5.0
@@ -470,7 +461,7 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
         min_eigenvalue=np.array(mins), top_population=np.array(tops),
         n_accepted=n_acc, n_rejected=n_rej,
         truncation_flagged=trunc_flag,
-        positivity_flagged=bool(np.min(mins) < positivity_threshold))
+        positivity_flagged=bool(np.min(mins) < POSITIVITY_THRESHOLD))
     return traj
 
 
@@ -706,13 +697,3 @@ def trajectory_observables(traj: FockTrajectory) -> dict:
     series["top_population"] = traj.top_population.copy()
     return series
 
-
-def trajectory_to_csv(traj: FockTrajectory, path) -> None:
-    """Long-format CSV: t,observable,value."""
-    series = trajectory_observables(traj)
-    with open(path, "w") as fh:
-        fh.write("t,observable,value\n")
-        for name in sorted(series):
-            vals = series[name]
-            for t, v in zip(traj.times, vals):
-                fh.write(f"{float(t)!r},{name},{float(v)!r}\n")

@@ -2,9 +2,11 @@
 
 A scenario wires a bath, an initial state, and one solver into a run that
 emits CSV/JSON artifacts.  Configs are plain JSON trees; the CLI can
-override any leaf with --set dotted.key=value.  Identical configs produce
-byte-identical outputs: floats are written with repr (shortest
-round-trip), iteration orders are fixed, and nothing draws randomness.
+override any leaf with --set dotted.key=value.  Every leaf is read through
+ScenarioConfig.leaf, which holds its one default and names the key of a
+bad value.  Identical configs produce byte-identical outputs: floats are
+written with repr (shortest round-trip), iteration orders are fixed, and
+nothing draws randomness.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,8 +30,6 @@ from .errors import ConfigError
 BATH_KINDS = ("linear-markov", "quadratic-markov", "early-time", "discrete-modes")
 SOLVER_KINDS = ("cumulant", "analytic", "fock")
 INITIAL_KINDS = ("coherent", "cat", "number")
-# fig4's sub-run tables (numeric leaves; dim and points are integers)
-FIG4_SUBRUNS = ("a", "bc")
 # Fock dissipator name -> (bath kind, constructor from the built bath); the
 # first name listed for a bath kind is its default.
 FOCK_DISSIPATORS = {
@@ -40,159 +41,30 @@ FOCK_DISSIPATORS = {
                           lambda b: fock_mod.QuadraticLiteral(b.Gamma, b.nbar2)),
     "time-dependent": ("discrete-modes", lambda b: fock_mod.TimeDependent(b)),
 }
+# default of a leaf that must be present
+_REQUIRED = object()
 
 
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if isinstance(v, dict) and k in out and isinstance(out[k], dict):
             out[k] = _merge(out[k], v)
         else:
             out[k] = v
     return out
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario description (raw tree kept for provenance)."""
-
-    raw: dict
-
-    # convenience accessors -------------------------------------------------
-    @property
-    def scenario(self) -> str:
-        return self.raw.get("scenario", "custom")
-
-    @property
-    def omega(self) -> float:
-        return float(self.raw.get("omega", 1.0))
-
-    @property
-    def bath(self) -> dict:
-        return self.raw.get("bath", {})
-
-    @property
-    def initial(self) -> dict:
-        return self.raw.get("initial", {})
-
-    @property
-    def solver(self) -> dict:
-        return self.raw.get("solver", {})
-
-    @property
-    def dissipators(self) -> Tuple[str, ...]:
-        """Fock dissipators allowed for this bath, the default first."""
-        bkind = self.bath.get("kind")
-        return tuple(name for name, (b, _) in FOCK_DISSIPATORS.items() if b == bkind)
-
-    @property
-    def dissipator(self) -> Optional[str]:
-        return self.solver.get("dissipator", next(iter(self.dissipators), None))
-
-    @property
-    def time_span(self) -> float:
-        return float(self.raw.get("time", {}).get("span", 10.0))
-
-    @property
-    def time_points(self) -> int:
-        return _integer("time.points", self.raw.get("time", {}).get("points", 400))
-
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.time_span, self.time_points)
-
-    @property
-    def q_bounds(self) -> Tuple[float, float]:
-        q = self.raw.get("qgrid", {})
-        return float(q.get("min", -12.0)), float(q.get("max", 12.0))
-
-    @property
-    def q_points(self) -> int:
-        return _integer("qgrid.points", self.raw.get("qgrid", {}).get("points", 2048))
-
-    def q_grid(self) -> np.ndarray:
-        return np.linspace(*self.q_bounds, self.q_points)
-
-    @classmethod
-    def from_dict(cls, tree: dict, overrides: Optional[dict] = None) -> "ScenarioConfig":
-        cfg = cls(raw=_merge(tree, overrides or {}))
-        cfg.validate()
-        return cfg
-
-    # validation ------------------------------------------------------------
-    def validate(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ConfigError(f"omega must be finite and > 0, got {self.omega}")
-        if not (math.isfinite(self.time_span) and self.time_span > 0):
-            raise ConfigError(f"time.span must be finite and > 0, got {self.time_span}")
-        if self.time_points < 2:
-            raise ConfigError("time.points must be >= 2")
-        self.q_points  # raises ConfigError unless a finite integer
-        for key in ("alpha", "phi"):
-            if key in self.initial:
-                _finite(f"initial.{key}", self.initial[key])
-        for label in FIG4_SUBRUNS:
-            sub = self.raw.get(label, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{label} must be a table of sub-run settings")
-            for key, value in sub.items():
-                check = _integer if key in ("dim", "points") else _finite
-                check(f"{label}.{key}", value)
-        q_min, q_max = self.q_bounds
-        if not (math.isfinite(q_min) and math.isfinite(q_max) and q_min < q_max):
-            raise ConfigError(
-                f"qgrid.min and qgrid.max must be finite with min < max, "
-                f"got min={q_min}, max={q_max}")
-        bkind = self.bath.get("kind")
-        if bkind not in BATH_KINDS:
-            raise ConfigError(f"bath.kind must be one of {BATH_KINDS}, got {bkind!r}")
-        ikind = self.initial.get("kind")
-        if ikind not in INITIAL_KINDS:
-            raise ConfigError(f"initial.kind must be one of {INITIAL_KINDS}, got {ikind!r}")
-        skind = self.solver.get("kind")
-        if skind not in SOLVER_KINDS:
-            raise ConfigError(f"solver.kind must be one of {SOLVER_KINDS}, got {skind!r}")
-
-        if skind in ("cumulant", "analytic") and ikind == "number":
-            raise ConfigError(
-                f"initial state 'number' is not a Gaussian branch; "
-                f"the {skind} solver cannot represent it -- use solver.kind='fock'")
-        if skind == "cumulant" and bkind == "quadratic-markov":
-            raise ConfigError(
-                "the two-quantum bath has no Gaussian cumulant dynamics; "
-                "use solver.kind='fock' with dissipator 'quadratic-lindblad'")
-        if skind == "analytic" and bkind != "linear-markov":
-            raise ConfigError(
-                f"the analytic solver covers only the linear Markov bath, "
-                f"not {bkind!r}")
-        if skind == "fock":
-            _integer("solver.dim", self.solver.get("dim", 30))
-            if ikind == "number":
-                _integer("initial.k", self.initial.get("k", 0))
-            diss = self.dissipator
-            if diss is None:
-                raise ConfigError(
-                    "the early-time bath is a closed-form limit with no Fock "
-                    "dissipator; use solver.kind='cumulant' or 'analytic'")
-            if diss not in FOCK_DISSIPATORS:
-                raise ConfigError(
-                    f"solver.dissipator must be one of {tuple(FOCK_DISSIPATORS)}, "
-                    f"got {diss!r}")
-            allowed = self.dissipators
-            if diss not in allowed:
-                raise ConfigError(
-                    f"dissipator {diss!r} does not match bath {bkind!r}; "
-                    f"allowed: {allowed}")
-        built = build_bath(self.bath, self.omega)  # parameter-level validation
-        if isinstance(built, bath_mod.LinearMarkov) and built.gamma >= self.omega:
-            raise ConfigError(
-                f"linear bath requires the underdamped regime gamma < omega "
-                f"(gamma={built.gamma}, omega={self.omega})")
-
-
 def _finite(key: str, value) -> complex:
+    """A finite number, given as a number, a numeric string or [re, im]."""
     try:
-        x = _cplx(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            x = complex(float(value[0]), float(value[1]))
+        else:
+            x = complex(value)
+    except (TypeError, ValueError, OverflowError):
         x = complex("nan")
     if not cmath.isfinite(x):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
@@ -213,78 +85,236 @@ def _integer(key: str, value) -> int:
     return int(x.real)
 
 
+def _typed(kind: type, text: str):
+    def check(key: str, value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {text}, got {value!r}")
+        return value
+    return check
+
+
+_flag, _text, _table = (_typed(bool, "true or false"), _typed(str, "a string"),
+                        _typed(dict, "a table"))
+
+
+def _modes(key: str, value) -> Tuple[bath_mod.Mode, ...]:
+    """[[omega, coupling], ...] or [[omega, coupling, occupation], ...] as modes."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(m, list) and len(m) in (2, 3) for m in value)):
+        raise ConfigError(f"{key} must be a non-empty list of [omega, coupling] or "
+                          f"[omega, coupling, occupation], got {value!r}")
+    values = [[_real(f"{key}[{i}]", x) for x in m] for i, m in enumerate(value)]
+    try:
+        return tuple(bath_mod.Mode(*m) for m in values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Scenario description: the merged JSON tree and checked views of it.
+
+    `raw` is the tree as given (kept for provenance); every value a run
+    uses comes from `leaf` or from the properties built on it.
+    """
+
+    raw: dict
+
+    def leaf(self, key: str, default=_REQUIRED, check=_real, bound: str = ""):
+        """The checked value of the dotted leaf `key`, or `default` if absent.
+
+        `check(key, value)` converts the value or raises ConfigError; a
+        tuple in its place lists the allowed values.  `bound` is a range
+        such as "> 0" or ">= 2".  The default is checked like a given
+        value, except None, which marks an optional leaf and is returned
+        as it is.  Every error names the key.
+        """
+        value = self.raw
+        for part in key.split("."):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key}: its parent must be a table, got {value!r}")
+            if part not in value:
+                if default is _REQUIRED:
+                    raise ConfigError(f"{key} is missing")
+                if default is None:
+                    return None
+                value = default
+                break
+            value = value[part]
+        if isinstance(check, tuple):
+            if value not in check:
+                raise ConfigError(f"{key} must be one of {check}, got {value!r}")
+            return value
+        x = check(key, value)
+        if bound:
+            op, limit = bound.split()
+            if not (x > float(limit) if op == ">" else x >= float(limit)):
+                raise ConfigError(f"{key} must be finite and {bound}, got {value!r}")
+        return x
+
+    # checked views -----------------------------------------------------------
+    @property
+    def scenario(self) -> str:
+        return self.leaf("scenario", "custom", _text)
+
+    @property
+    def omega(self) -> float:
+        return self.leaf("omega", 1.0, bound="> 0")
+
+    @property
+    def emit_frames(self) -> bool:
+        return self.leaf("emit_frames", True, _flag)
+
+    def time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.leaf("time.span", 10.0, bound="> 0"),
+                           self.leaf("time.points", 400, _integer, ">= 2"))
+
+    def q_grid(self) -> np.ndarray:
+        q_min, q_max = self.leaf("qgrid.min", -12.0), self.leaf("qgrid.max", 12.0)
+        if not q_min < q_max:
+            raise ConfigError(f"qgrid.min must be below qgrid.max, "
+                              f"got min={q_min}, max={q_max}")
+        return np.linspace(q_min, q_max, self.leaf("qgrid.points", 2048, _integer, ">= 2"))
+
+    @property
+    def initial_kind(self) -> str:
+        return self.leaf("initial.kind", check=INITIAL_KINDS)
+
+    @property
+    def alpha(self) -> complex:
+        return self.leaf("initial.alpha", 2.0 if self.initial_kind == "cat" else 1.0,
+                         _finite)
+
+    @property
+    def phi(self) -> float:
+        return self.leaf("initial.phi", 0.0)
+
+    @property
+    def k(self) -> int:
+        return self.leaf("initial.k", 0, _integer, ">= 0")
+
+    @property
+    def solver_kind(self) -> str:
+        return self.leaf("solver.kind", check=SOLVER_KINDS)
+
+    @property
+    def dim(self) -> int:
+        return self.leaf("solver.dim", 30, _integer, ">= 1")
+
+    @property
+    def tolerances(self) -> Tuple[float, float]:
+        """(solver.rtol, solver.atol); the defaults depend on solver.kind."""
+        rtol, atol = (1e-8, 1e-10) if self.solver_kind == "fock" else (1e-10, 1e-12)
+        return (self.leaf("solver.rtol", rtol, bound="> 0"),
+                self.leaf("solver.atol", atol, bound="> 0"))
+
+    @property
+    def bath_kind(self) -> str:
+        return self.leaf("bath.kind", check=BATH_KINDS)
+
+    @property
+    def dissipator(self) -> str:
+        """The Fock dissipator, by default the first one the bath allows."""
+        bkind = self.bath_kind
+        allowed = tuple(name for name, (b, _) in FOCK_DISSIPATORS.items() if b == bkind)
+        if not allowed:
+            raise ConfigError(
+                "the early-time bath is a closed-form limit with no Fock "
+                "dissipator; use solver.kind='cumulant' or 'analytic'")
+        diss = self.leaf("solver.dissipator", allowed[0], tuple(FOCK_DISSIPATORS))
+        if diss not in allowed:
+            raise ConfigError(f"solver.dissipator {diss!r} does not match bath "
+                              f"{bkind!r}; allowed: {allowed}")
+        return diss
+
+    @cached_property
+    def bath(self) -> bath_mod.BathModel:
+        """The bath model, built once per config."""
+        kind, read = self.bath_kind, self.leaf
+        if kind == "linear-markov":
+            return bath_mod.LinearMarkov(read("bath.gamma", bound=">= 0"),
+                                         self._occupation("nbar", self.omega))
+        if kind == "quadratic-markov":
+            return bath_mod.QuadraticMarkov(read("bath.Gamma", bound=">= 0"),
+                                            self._occupation("nbar2", 2 * self.omega))
+        if kind == "early-time":
+            return bath_mod.EarlyTime(read("bath.Gamma0", bound=">= 0"))
+        if read("bath.comb", None, _table) is None:
+            return bath_mod.DiscreteModes(read("bath.modes", check=_modes))
+        comb = dict(
+            center=read("bath.comb.center", bound="> 0"),
+            width=read("bath.comb.width", bound="> 0"),
+            n_modes=read("bath.comb.n_modes", check=_integer, bound=">= 2"),
+            total_coupling_sq=read("bath.comb.total_coupling_sq", bound=">= 0"),
+            occupation=read("bath.comb.occupation", 0.0, bound=">= 0"))
+        try:
+            return bath_mod.flat_comb(**comb)
+        except ValueError as exc:
+            raise ConfigError(f"bath.comb.center and bath.comb.width: {exc}") from exc
+
+    def _occupation(self, key: str, at_omega: float) -> float:
+        """bath.<key> if given, else the Bose occupation at bath.kT (default 0)."""
+        nbar = self.leaf(f"bath.{key}", None, bound=">= 0")
+        if nbar is None:
+            nbar = bath_mod.bose_occupation(at_omega, self.leaf("bath.kT", 0.0, bound=">= 0"))
+        return nbar
+
+    @classmethod
+    def from_dict(cls, tree: dict, overrides: Optional[dict] = None) -> "ScenarioConfig":
+        cfg = cls(raw=_merge(tree, overrides or {}))
+        cfg.validate()
+        return cfg
+
+    # validation ------------------------------------------------------------
+    def validate(self) -> None:
+        """Read every leaf a scenario run needs; a bad one raises ConfigError."""
+        # each view reads and checks its leaves
+        (self.scenario, self.omega, self.emit_frames, self.time_grid(), self.q_grid(),
+         self.alpha, self.phi, self.tolerances)
+        bkind, ikind, skind = self.bath_kind, self.initial_kind, self.solver_kind
+        if skind in ("cumulant", "analytic") and ikind == "number":
+            raise ConfigError(
+                f"initial.kind 'number' is not a Gaussian branch; solver.kind "
+                f"{skind!r} cannot represent it -- use solver.kind='fock'")
+        if skind == "cumulant" and bkind == "quadratic-markov":
+            raise ConfigError(
+                "the two-quantum bath has no Gaussian cumulant dynamics; "
+                "use solver.kind='fock' with dissipator 'quadratic-lindblad'")
+        if skind == "analytic" and bkind != "linear-markov":
+            raise ConfigError(
+                f"the analytic solver covers only the linear Markov bath, "
+                f"not bath.kind {bkind!r}")
+        if skind == "fock":
+            dim, _ = self.dim, self.dissipator
+            if ikind == "number" and self.k >= dim:
+                raise ConfigError(f"initial.k must be below solver.dim={dim}, "
+                                  f"got {self.k}")
+        built = self.bath
+        if isinstance(built, bath_mod.LinearMarkov) and built.gamma >= self.omega:
+            raise ConfigError(
+                f"linear bath requires the underdamped regime bath.gamma < omega "
+                f"(bath.gamma={built.gamma}, omega={self.omega})")
+
+
 # ---------------------------------------------------------------------------
 # config -> domain objects
 
-def build_bath(cfg: dict, omega: float) -> bath_mod.BathModel:
-    kind = cfg.get("kind")
-    try:
-        if kind == "linear-markov":
-            nbar = _occupation(cfg, omega)
-            return bath_mod.LinearMarkov(gamma=_real("bath.gamma", cfg["gamma"]),
-                                         nbar=nbar)
-        if kind == "quadratic-markov":
-            nbar2 = _occupation(cfg, 2 * omega, key="nbar2")
-            return bath_mod.QuadraticMarkov(Gamma=_real("bath.Gamma", cfg["Gamma"]),
-                                            nbar2=nbar2)
-        if kind == "early-time":
-            return bath_mod.EarlyTime(Gamma0=_real("bath.Gamma0", cfg["Gamma0"]))
-        if kind == "discrete-modes":
-            if "comb" in cfg:
-                c = cfg["comb"]
-                return bath_mod.flat_comb(
-                    center=float(c["center"]), width=float(c["width"]),
-                    n_modes=int(c["n_modes"]),
-                    total_coupling_sq=float(c["total_coupling_sq"]),
-                    occupation=float(c.get("occupation", 0.0)))
-            modes = tuple(bath_mod.Mode(float(m[0]), float(m[1]),
-                                        float(m[2]) if len(m) > 2 else 0.0)
-                          for m in cfg["modes"])
-            return bath_mod.DiscreteModes(modes)
-    except KeyError as exc:
-        raise ConfigError(f"bath config for {kind!r} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown bath kind {kind!r}")
-
-
-def _occupation(cfg: dict, at_omega: float, key: str = "nbar") -> float:
-    if key in cfg:
-        return _real(f"bath.{key}", cfg[key])
-    if "kT" in cfg:
-        return bath_mod.bose_occupation(at_omega, _real("bath.kT", cfg["kT"]))
-    return 0.0
-
-
-def build_superposition(cfg: dict, omega: float) -> cum.SuperpositionState:
-    kind = cfg.get("kind")
+def build_superposition(config: ScenarioConfig) -> cum.SuperpositionState:
+    kind = config.initial_kind
     if kind == "coherent":
-        return cum.coherent_state(_cplx(cfg.get("alpha", 1.0)), system_omega=omega)
+        return cum.coherent_state(config.alpha, system_omega=config.omega)
     if kind == "cat":
-        return cum.make_cat(_cplx(cfg.get("alpha", 2.0)),
-                            float(cfg.get("phi", 0.0)), system_omega=omega)
-    raise ConfigError(f"initial kind {kind!r} has no Gaussian-branch form")
+        return cum.make_cat(config.alpha, config.phi, system_omega=config.omega)
+    raise ConfigError(f"initial.kind {kind!r} has no Gaussian-branch form")
 
 
-def build_fock_state(cfg: dict, dim: int) -> fock_mod.FockDensityMatrix:
-    kind = cfg.get("kind")
+def build_fock_state(config: ScenarioConfig) -> fock_mod.FockDensityMatrix:
+    kind, dim = config.initial_kind, config.dim
     if kind == "coherent":
-        return fock_mod.coherent_density_matrix(_cplx(cfg.get("alpha", 1.0)), dim)
+        return fock_mod.coherent_density_matrix(config.alpha, dim)
     if kind == "cat":
-        return fock_mod.cat_density_matrix(_cplx(cfg.get("alpha", 2.0)),
-                                           float(cfg.get("phi", 0.0)), dim)
-    if kind == "number":
-        return fock_mod.number_state_density_matrix(int(cfg.get("k", 0)), dim)
-    raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _cplx(v) -> complex:
-    try:
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        return complex(v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"expected a number or [re, im], got {v!r}") from exc
+        return fock_mod.cat_density_matrix(config.alpha, config.phi, dim)
+    return fock_mod.number_state_density_matrix(config.k, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -305,37 +335,15 @@ class ScenarioResult:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run one validated config end to end (no files written)."""
-    omega = config.omega
-    bath = build_bath(config.bath, omega)
-    times = config.time_grid()
-    grid = config.q_grid()
-    skind = config.solver.get("kind")
-    emit_frames = bool(config.raw.get("emit_frames", True))
+    omega, bath, skind = config.omega, config.bath, config.solver_kind
+    times, grid = config.time_grid(), config.q_grid()
     result = ScenarioResult(name=config.scenario, times=times)
 
-    if skind == "cumulant":
-        state = build_superposition(config.initial, omega)
-        coeffs = bath_mod.relaxation_coefficients(bath, omega)
-        rtol = float(config.solver.get("rtol", 1e-10))
-        atol = float(config.solver.get("atol", 1e-12))
-        evolved = cum.evolve_superposition(state, coeffs, times, rtol=rtol, atol=atol)
-        _cumulant_series(result, state, evolved)
-        if emit_frames:
-            result.frames = [
-                wp.density_frame(state, [evolved[b][i] for b in range(len(state.branches))],
-                                 grid, t)
-                for i, t in enumerate(times)]
-    elif skind == "analytic":
-        state = build_superposition(config.initial, omega)
-        _analytic_run(result, config, bath, state, grid)
-    elif skind == "fock":
-        dim = int(config.solver.get("dim", 30))
+    if skind == "fock":
         kind = FOCK_DISSIPATORS[config.dissipator][1](bath)
-        sigma0 = build_fock_state(config.initial, dim)
+        sigma0 = build_fock_state(config)
         if isinstance(kind, fock_mod.TimeDependent):
-            rtol = float(config.solver.get("rtol", 1e-8))
-            atol = float(config.solver.get("atol", 1e-10))
-            traj = fock_mod.integrate(kind, sigma0, omega, times, rtol=rtol, atol=atol)
+            traj = fock_mod.integrate(kind, sigma0, omega, times, *config.tolerances)
         else:
             traj = fock_mod.propagate(kind, sigma0, omega, times)
         result.series.update(fock_mod.trajectory_observables(traj))
@@ -343,47 +351,31 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         result.meta["n_rejected"] = traj.n_rejected
         result.meta["truncation_flagged"] = traj.truncation_flagged
         result.meta["positivity_flagged"] = traj.positivity_flagged
-        if emit_frames:
+        if config.emit_frames:
             result.frames = fock_mod.trajectory_frames(traj, grid)
         result.meta["trajectory"] = traj
-    else:
-        raise ConfigError(f"unknown solver kind {skind!r}")
-    return result
+        return result
 
-
-def _cumulant_series(result, state, evolved):
-    nb = len(state.branches)
-    nt = len(evolved[0])
-    meanQ = np.zeros(nt)
-    V = np.zeros(nt)
-    for i in range(nt):
-        meanQ[i] = sum((state.branches[b].weight * evolved[b][i].center).real
-                       for b in range(nb))
-        V[i] = evolved[0][i].variance_param.real  # branch-independent
-    result.series["meanQ"] = meanQ
-    result.series["V"] = V
-
-
-def _analytic_run(result, config, bath, state, grid):
-    omega = config.omega
-    gamma, nbar = bath.gamma, bath.nbar
-    times = result.times
-    _, Vs, _ = cum.analytic_markov(1.0, gamma, omega, nbar, times)
-    result.series["V"] = Vs
-    kind0 = config.initial.get("kind")
-    if kind0 == "coherent":
-        alpha0 = _cplx(config.initial.get("alpha", 1.0))
-        Q, _, _ = cum.analytic_markov(alpha0, gamma, omega, nbar, times)
-        result.series["meanQ"] = Q
-    else:
-        result.series["meanQ"] = np.zeros_like(times)
-    if bool(config.raw.get("emit_frames", True)):
+    state = build_superposition(config)
+    if skind == "analytic":
+        gamma, nbar = bath.gamma, bath.nbar
+        result.series["V"] = cum.analytic_markov(1.0, gamma, omega, nbar, times)[1]
+        result.series["meanQ"] = (
+            cum.analytic_markov(config.alpha, gamma, omega, nbar, times)[0]
+            if config.initial_kind == "coherent" else np.zeros_like(times))
+    if skind == "cumulant" or config.emit_frames:
         coeffs = bath_mod.relaxation_coefficients(bath, omega)
-        evolved = cum.evolve_superposition(state, coeffs, times)
-        result.frames = [
-            wp.density_frame(state, [evolved[b][i] for b in range(len(state.branches))],
-                             grid, t)
-            for i, t in enumerate(times)]
+        evolved = cum.evolve_superposition(state, coeffs, times, *config.tolerances)
+        if skind == "cumulant":
+            result.series["meanQ"] = np.array([
+                sum((br.weight * ev[i].center).real for br, ev in zip(state.branches, evolved))
+                for i in range(len(times))])
+            result.series["V"] = np.array(  # branch-independent
+                [c.variance_param.real for c in evolved[0]])
+        if config.emit_frames:
+            result.frames = [wp.density_frame(state, [ev[i] for ev in evolved], grid, t)
+                             for i, t in enumerate(times)]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +417,22 @@ def fig2_config(overrides: Optional[dict] = None) -> ScenarioConfig:
 
 def run_fig2(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     config = config or fig2_config()
+    omega, bath, alpha, phi = config.omega, config.bath, config.alpha, config.phi
     result = run_scenario(config)
-    bath = build_bath(config.bath, config.omega)
-    alpha = _cplx(config.initial["alpha"])
-    phi = float(config.initial["phi"])
     times = result.times
     # at phi = pi/2 the central fringe is a node, so emit the envelope too
     grid = config.q_grid()
     result.series["P_int_q0"] = np.array([
-        wp.interference_term(alpha, phi, bath.gamma, config.omega, bath.nbar, 0.0, t)
+        wp.interference_term(alpha, phi, bath.gamma, omega, bath.nbar, 0.0, t)
         for t in times])
     result.series["P_int_max"] = np.array([
-        np.abs(wp.interference_term(alpha, phi, bath.gamma, config.omega,
+        np.abs(wp.interference_term(alpha, phi, bath.gamma, omega,
                                     bath.nbar, grid, t)).max()
         for t in times])
     result.series["significance"] = np.array([
-        wp.significance_ratio(alpha, bath.gamma, config.omega, bath.nbar, t)
+        wp.significance_ratio(alpha, bath.gamma, omega, bath.nbar, t)
         for t in times])
-    fit = wp.fit_interference_decay(alpha, phi, bath.gamma, config.omega, bath.nbar)
+    fit = wp.fit_interference_decay(alpha, phi, bath.gamma, omega, bath.nbar)
     result.meta["envelope_rate"] = fit.rate
     result.meta["rate_law_2a2g"] = wp.decoherence_rate(alpha, bath.gamma)
     result.meta["rate_ratio"] = fit.ratio_to_law
@@ -484,11 +474,15 @@ def _early_interference_q0(alpha: complex, phi: float, Gamma0: float,
 def run_fig3(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     """Three P_int(Q=0, t) series: Markov non-RWA, Fock RWA, early-time."""
     config = config or fig3_config()
-    omega = config.omega
-    bath = build_bath(config.bath, omega)
+    diss = config.dissipator
+    if diss != "linear-rwa":
+        # the boxes subtract the RWA mixture in closed form
+        raise ConfigError(f"fig3 needs solver.dissipator 'linear-rwa', got {diss!r}")
+    omega, bath, alpha, phi = config.omega, config.bath, config.alpha, config.phi
     gamma, nbar = bath.gamma, bath.nbar
-    alpha = _cplx(config.initial["alpha"])
-    phi = float(config.initial["phi"])
+    kind = FOCK_DISSIPATORS[diss][1](bath)
+    g0 = config.leaf("early_gamma0", bound=">= 0")
+    cat = fock_mod.cat_density_matrix(alpha, phi, config.dim)
     times = config.time_grid()
     result = ScenarioResult(name=config.scenario, times=times)
 
@@ -497,15 +491,11 @@ def run_fig3(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
         wp.interference_term(alpha, phi, gamma, omega, nbar, 0.0, t) for t in times])
 
     # bullets: early-time kinematics
-    g0 = float(config.raw["early_gamma0"])
     result.series["P_int_early"] = np.array([
         _early_interference_q0(alpha, phi, g0, omega, t) for t in times])
     result.meta["early_gamma0"] = g0
 
     # boxes: Fock RWA run; interference = P(0) minus the RWA mixture Gaussians
-    dim = int(config.solver.get("dim", 30))
-    cat = fock_mod.cat_density_matrix(alpha, phi, dim)
-    kind = fock_mod.LinearRWA(gamma=gamma, nbar=nbar)
     traj = fock_mod.propagate(kind, cat, omega, times)
     p_fock = np.array([f.density[0]
                        for f in fock_mod.trajectory_frames(traj, np.array([0.0]))])
@@ -546,41 +536,38 @@ def fig4_config(overrides: Optional[dict] = None) -> ScenarioConfig:
 
 def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     config = config or fig4_config()
-    omega = config.omega
-    a_cfg = config.raw["a"]
-    bc = config.raw["bc"]
-    times_a = np.linspace(0.0, float(a_cfg["span"]), int(a_cfg["points"]))
+    omega, read = config.omega, config.leaf
+    times_a = np.linspace(0.0, read("a.span", bound="> 0"),
+                          read("a.points", check=_integer, bound=">= 2"))
+    dim_a = read("a.dim", check=_integer, bound=">= 1")
+    alpha0 = read("a.alpha0", check=_finite)
+    kinds_a = (fock_mod.LinearNonRWA(gamma=read("a.gamma", bound=">= 0"), nbar=0.0),
+               fock_mod.QuadraticLindblad(Gamma=read("a.Gamma", bound=">= 0"), nbar2=0.0))
+    kT = read("bc.kT", bound=">= 0")
+    kinds_bc = {
+        "b_linear": fock_mod.LinearNonRWA(gamma=read("bc.gamma", bound=">= 0"),
+                                          nbar=bath_mod.bose_occupation(omega, kT)),
+        "c_quadratic": fock_mod.QuadraticLindblad(
+            Gamma=read("bc.Gamma", bound=">= 0"),
+            nbar2=bath_mod.bose_occupation(2 * omega, kT)),
+    }
+    dim = read("bc.dim", check=_integer, bound=">= 1")
+    alpha, phi = read("bc.alpha", check=_finite), read("bc.phi")
+    times_bc = np.linspace(0.0, read("bc.span", bound="> 0"),
+                           read("bc.points", check=_integer, bound=">= 2"))
+    grid = config.q_grid()
     result = ScenarioResult(name="fig4", times=times_a)
 
     # (a) coherent state, linear vs two-quantum bath
-    dim_a = int(a_cfg["dim"])
-    alpha0 = _cplx(a_cfg["alpha0"])
     s0 = fock_mod.coherent_density_matrix(alpha0, dim_a)
-    tr_lin = fock_mod.propagate(
-        fock_mod.LinearNonRWA(gamma=float(a_cfg["gamma"]), nbar=0.0),
-        s0, omega, times_a)
-    tr_quad = fock_mod.propagate(
-        fock_mod.QuadraticLindblad(Gamma=float(a_cfg["Gamma"]), nbar2=0.0),
-        s0, omega, times_a)
+    tr_lin, tr_quad = (fock_mod.propagate(kind, s0, omega, times_a) for kind in kinds_a)
     result.series["meanQ_linear"] = fock_mod.trajectory_observables(tr_lin)["meanQ"]
     result.series["meanQ_quadratic"] = fock_mod.trajectory_observables(tr_quad)["meanQ"]
     result.meta["a_trajectories"] = (tr_lin, tr_quad)
 
     # (b)/(c) cat under the two baths at kT = 2/ln 3
-    kT = float(bc["kT"])
-    n1 = bath_mod.bose_occupation(omega, kT)
-    n2occ = bath_mod.bose_occupation(2 * omega, kT)
-    dim = int(bc["dim"])
-    alpha = _cplx(bc["alpha"])
-    phi = float(bc["phi"])
-    times_bc = np.linspace(0.0, float(bc["span"]), int(bc["points"]))
-    grid = config.q_grid()
-    kinds = {
-        "b_linear": fock_mod.LinearNonRWA(gamma=float(bc["gamma"]), nbar=n1),
-        "c_quadratic": fock_mod.QuadraticLindblad(Gamma=float(bc["Gamma"]), nbar2=n2occ),
-    }
     vis = {}
-    for label, kind in kinds.items():
+    for label, kind in kinds_bc.items():
         run = fock_mod.cat_visibility(kind, alpha, phi, omega, dim, times_bc)
         result.extra_frames[label] = fock_mod.trajectory_frames(run.cat, grid)
         vis[label] = run.visibility

@@ -244,20 +244,6 @@ def _peak_over_q(alpha, phi, gamma, omega, nbar, t):
     return float(np.max(np.abs(interference_term(alpha, phi, gamma, omega, nbar, q, t))))
 
 
-def default_grid(alpha_max: float = 3.0, points: int = 2048) -> np.ndarray:
-    """Q grid wide enough that boundary density < 1e-12 for |alpha| <= 3."""
-    half = max(12.0, 2 * abs(alpha_max) + 10.0)
-    return np.linspace(-half, half, points)
-
-
-def frame_to_csv(frame: WavepacketFrame, path) -> None:
-    """Write one frame as CSV with columns Q,P (full float precision)."""
-    with open(path, "w") as fh:
-        fh.write("Q,P\n")
-        for q, p in zip(frame.grid, frame.density):
-            fh.write(f"{float(q)!r},{float(p)!r}\n")
-
-
 def frames_to_csv(frames: Sequence[WavepacketFrame], path) -> None:
     """Write a frame stack as long-format CSV with columns t,Q,P.
 

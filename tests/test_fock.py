@@ -516,17 +516,3 @@ class TestObservablesAndDensity:
         assert "fringe-nyquist" in frame.warnings
         fine = np.linspace(-10, 10, 512)
         assert fock.position_density(s, fine).warnings == ()
-
-    def test_trajectory_csv(self, tmp_path):
-        s0 = fock.coherent_density_matrix(0.5, 12)
-        ts = np.linspace(0, 1.0, 3)
-        traj = fock.integrate(fock.LinearRWA(gamma=0.1), s0, 1.0, ts)
-        path = tmp_path / "traj.csv"
-        fock.trajectory_to_csv(traj, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,observable,value"
-        names = {r.split(",")[1] for r in rows[1:]}
-        assert {"meanQ", "V", "parity", "purity", "trace"} <= names
-        # full-precision round trip
-        t0, name, val = rows[1].split(",")
-        assert float(t0) == traj.times[0]

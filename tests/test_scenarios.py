@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscbath import cli, fock, scenarios as sc
 from oscbath.errors import ConfigError
@@ -31,6 +33,47 @@ BATHS = {
     "discrete-modes": {"kind": "discrete-modes",
                        "modes": [[1.2, 0.1, 0.0], [0.9, 0.05, 0.3]]},
 }
+COMB = {"center": 1.0, "width": 1.0, "n_modes": 5, "total_coupling_sq": 0.0064}
+# configs that between them hold every leaf ScenarioConfig.from_dict reads
+FUZZ_TREES = [
+    {"scenario": "a", "omega": 1.0, "emit_frames": True,
+     "bath": {"kind": "linear-markov", "gamma": 0.05, "kT": 2.0},
+     "initial": {"kind": "cat", "alpha": 1.5, "phi": 0.3},
+     "solver": {"kind": "cumulant", "rtol": 1e-9, "atol": 1e-11},
+     "time": {"span": 2.0, "points": 20},
+     "qgrid": {"min": -8.0, "max": 8.0, "points": 256}},
+    {"bath": {"kind": "linear-markov", "gamma": 0.05, "nbar": 0.2},
+     "initial": {"kind": "coherent", "alpha": [0.5, 0.5]},
+     "solver": {"kind": "analytic"}},
+    {"bath": {"kind": "quadratic-markov", "Gamma": 0.1, "nbar2": 0.1},
+     "initial": {"kind": "number", "k": 2},
+     "solver": {"kind": "fock", "dissipator": "quadratic-literal", "dim": 12}},
+    {"bath": {"kind": "discrete-modes", "comb": dict(COMB, occupation=0.5)},
+     "initial": {"kind": "coherent", "alpha": 0.5},
+     "solver": {"kind": "fock", "dissipator": "time-dependent", "dim": 12,
+                "rtol": 1e-7, "atol": 1e-9}},
+    {"bath": {"kind": "discrete-modes", "modes": BATHS["discrete-modes"]["modes"]},
+     "initial": {"kind": "coherent", "alpha": 0.5}, "solver": {"kind": "cumulant"}},
+    {"bath": {"kind": "early-time", "Gamma0": 0.1},
+     "initial": {"kind": "coherent", "alpha": 0.5}, "solver": {"kind": "cumulant"}},
+]
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None]),
+    st.text(alphabet="abefijnty", max_size=8),
+    st.lists(st.one_of(st.floats(), st.text("ab", max_size=2)), max_size=3),
+    st.integers(-10**6, -1),
+    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+)
+
+
+def leaf_keys(tree, prefix=""):
+    for k, v in tree.items():
+        if isinstance(v, dict):
+            yield from leaf_keys(v, f"{prefix}{k}.")
+        else:
+            yield prefix + k
+
+
 VALID_PAIRS = {
     ("linear-markov", "cumulant"), ("linear-markov", "analytic"),
     ("linear-markov", "fock"),
@@ -133,7 +176,8 @@ class TestConfigValidation:
             base_tree(**{"bath": {"kind": "discrete-modes",
                                   "modes": [[1.0, [0.1]]]}})
         with pytest.raises(ConfigError):
-            sc.build_superposition({"kind": "coherent", "alpha": [[1.0], 2.0]}, 1.0)
+            sc.build_superposition(sc.ScenarioConfig(
+                raw={"initial": {"kind": "coherent", "alpha": [[1.0], 2.0]}}))
 
     @pytest.mark.parametrize("override, key", [
         ({"omega": math.nan}, "omega"),
@@ -155,20 +199,44 @@ class TestConfigValidation:
         ({"solver": {"kind": "fock", "dim": 12.5}}, "solver.dim"),
         ({"solver": {"kind": "fock"}, "initial": {"kind": "number", "k": math.inf}},
          "initial.k"),
+        ({"bath": {"kind": "discrete-modes", "comb": dict(COMB, n_modes=math.nan)}},
+         "bath.comb.n_modes"),
+        ({"bath": {"kind": "discrete-modes", "comb": dict(COMB, width=math.nan)}},
+         "bath.comb.width"),
+        ({"emit_frames": "no"}, "emit_frames"),
+        ({"solver": {"kind": "fock", "dim": 8}, "initial": {"kind": "number", "k": 8}},
+         "initial.k"),
     ])
     def test_non_finite_fields_rejected(self, override, key):
         with pytest.raises(ConfigError, match=key):
             base_tree(**override)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_leaf_is_config_error(self, data):
+        # one leaf at a time; no other exception type may escape validation
+        tree = copy.deepcopy(data.draw(st.sampled_from(FUZZ_TREES)))
+        key = data.draw(st.sampled_from(sorted(leaf_keys(tree))))
+        *parents, last = key.split(".")
+        node = tree
+        for part in parents:
+            node = node[part]
+        node[last] = data.draw(BAD_VALUES)
+        try:
+            sc.ScenarioConfig.from_dict(tree)
+        except ConfigError as exc:
+            assert key in str(exc)
+
     def test_kT_to_occupation(self):
-        b = sc.build_bath({"kind": "linear-markov", "gamma": 0.1, "kT": 3.0}, 1.0)
+        def bath(cfg):
+            return sc.ScenarioConfig(raw={"omega": 1.0, "bath": cfg}).bath
+
+        b = bath({"kind": "linear-markov", "gamma": 0.1, "kT": 3.0})
         assert b.nbar == pytest.approx(1 / (math.exp(1 / 3) - 1), rel=1e-12)
-        b2 = sc.build_bath({"kind": "quadratic-markov", "Gamma": 0.1,
-                            "kT": 2 / math.log(3)}, 1.0)
+        b2 = bath({"kind": "quadratic-markov", "Gamma": 0.1, "kT": 2 / math.log(3)})
         assert b2.nbar2 == pytest.approx(0.5, rel=1e-12)
         # an explicit occupation wins over kT when both are present
-        b3 = sc.build_bath({"kind": "linear-markov", "gamma": 0.1,
-                            "kT": 3.0, "nbar": 0.7}, 1.0)
+        b3 = bath({"kind": "linear-markov", "gamma": 0.1, "kT": 3.0, "nbar": 0.7})
         assert b3.nbar == 0.7
 
 
@@ -316,19 +384,23 @@ class TestArtifacts:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_series_csv_roundtrip(self, tmp_path):
-        cfg = sc.fig1_config({"time": {"span": 2.0, "points": 10},
-                              "emit_frames": False})
-        result = sc.run_fig1(cfg)
-        files = sc.write_result(result, str(tmp_path))
-        rows = open(files[0]).read().strip().splitlines()
-        assert rows[0] == "t,observable,value"
-        parsed = {}
-        for line in rows[1:]:
-            t, name, v = line.split(",")
-            parsed.setdefault(name, []).append((float(t), float(v)))
-        for name, pairs in parsed.items():
-            for (t, v), tv, vv in zip(pairs, result.times, result.series[name]):
-                assert t == tv and v == vv
+        # the Fock run writes its trajectory observables too
+        for solver in ("cumulant", "fock"):
+            cfg = sc.fig1_config({"time": {"span": 2.0, "points": 10},
+                                  "solver": {"kind": solver}, "emit_frames": False})
+            result = sc.run_fig1(cfg)
+            files = sc.write_result(result, str(tmp_path / solver))
+            rows = open(files[0]).read().strip().splitlines()
+            assert rows[0] == "t,observable,value"
+            parsed = {}
+            for line in rows[1:]:
+                t, name, v = line.split(",")
+                parsed.setdefault(name, []).append((float(t), float(v)))
+            assert set(parsed) == set(result.series)
+            for name, pairs in parsed.items():
+                for (t, v), tv, vv in zip(pairs, result.times, result.series[name]):
+                    assert t == tv and v == vv
+        assert {"meanQ", "V", "parity", "purity", "trace"} <= set(parsed)
 
     def test_json_output(self, tmp_path):
         cfg = sc.fig1_config({"time": {"span": 2.0, "points": 10},
@@ -401,12 +473,18 @@ class TestCli:
         ("bath.gamma=[1]", "bath.gamma"),
         ("a.dim=NaN", "a.dim"),
         ("bc.points=NaN", "bc.points"),
+        ("solver.rtol=NaN", "solver.rtol"),
+        ("solver.atol=-1", "solver.atol"),
+        ("early_gamma0=NaN", "early_gamma0"),
+        ("bc.kT=-1", "bc.kT"),
+        ("a.points=1", "a.points"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
-        # run in a child process: before validation caught these, the first
-        # hung the solver and the second failed with a misleading message;
-        # the a.* and bc.* leaves belong to fig4's sub-runs
-        figure = "fig4" if override.startswith(("a.", "bc.")) else "fig1"
+        # run in a child process: before validation caught these, some hung
+        # the solver and others failed with a misleading message or none;
+        # early_gamma0 belongs to fig3, the a.* and bc.* leaves to fig4
+        figure = {"early_gamma0": "fig3", "a": "fig4", "bc": "fig4"}.get(
+            override.split("=")[0].split(".")[0], "fig1")
         src = os.path.dirname(os.path.dirname(sc.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -418,6 +496,16 @@ class TestCli:
         assert proc.returncode == 1
         assert key in proc.stderr and "finite" in proc.stderr
         assert os.listdir(tmp_path) == []
+
+    def test_fig3_needs_rwa_dissipator(self, tmp_path, capsys):
+        # fig3 subtracts the RWA mixture in closed form, so another
+        # dissipator would give a wrong interference series
+        out = tmp_path / "o"
+        rc = cli.main(["fig3", "--out", str(out), "--set",
+                       "solver.dissipator=linear-nonrwa"])
+        assert rc == 1
+        assert "solver.dissipator" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncated_fig4_basis_exit_2(self, tmp_path, capsys):
         # alpha0 = -1.1 loses 6.8e-9 of its probability on 12 levels: a

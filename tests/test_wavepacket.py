@@ -244,18 +244,6 @@ class TestVarianceOscillation:
 
 
 class TestFrameCsv:
-    def test_roundtrip_exact(self, tmp_path):
-        grid = np.linspace(-3, 3, 17)
-        frame = wp.WavepacketFrame(time=0.7, grid=grid,
-                                   density=np.exp(-grid**2 / 3.0) / 1.7)
-        path = tmp_path / "frame.csv"
-        wp.frame_to_csv(frame, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "Q,P"
-        for line, q, p in zip(rows[1:], grid, frame.density):
-            sq, sp = line.split(",")
-            assert float(sq) == q and float(sp) == p
-
     def test_stack_matches_row_by_row_formatter(self, tmp_path):
         # two frames share one grid object, a third has its own grid
         shared = np.linspace(-2, 2, 9)
