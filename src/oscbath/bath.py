@@ -10,6 +10,15 @@ list of discrete modes.  For discrete modes the four relaxation functions
 
 are evaluated in closed form; they are the running integrals of the bath
 correlation functions R_n, R_{n+1} (times e^{-2iwt} for the tilde pair).
+Each phase integral is written in its sinc form
+
+    (e^{-i d t} - 1)/(-i d) = t e^{-iy} sin(y)/y,   y = d t / 2,
+
+which is exact, has no cancellation at small d t, and needs no special case
+at resonance (sin(y)/y = 1 at y = 0).  The half detunings (w_xi -+ w)/2 and
+the 4 x 2M matrix of mode weights are built once per (bath, w), so a call
+is one vector of phases and one mat-vec.
+
 The derived pair feeding the cumulant equations is
 
     nu(t) = conj(gamma_n(t)) + gtilde_{n+1}(t)
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -98,6 +107,8 @@ class DiscreteModes:
 
     modes: Tuple[Mode, ...]
     _arrays: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _kernels: Dict[float, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -109,6 +120,7 @@ class DiscreteModes:
         for arr in (om, k2, occ):
             arr.flags.writeable = False
         object.__setattr__(self, "_arrays", (om, k2, occ))
+        object.__setattr__(self, "_kernels", {})
 
     def arrays(self):
         """(omegas, couplings^2, occupations) as read-only numpy arrays.
@@ -116,6 +128,27 @@ class DiscreteModes:
         Built once per instance; every call returns the same arrays.
         """
         return self._arrays
+
+    def kernel_constants(self, system_omega: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(half detunings, weights) of gamma_functions at one system frequency.
+
+        half = ((w_xi - w)/2 for every mode, then (w_xi + w)/2), length 2M;
+        weights is 4 x 2M, one row per GammaFunctions field: K^2 n and
+        K^2 (n+1) on the resonant half, then the same on the anti-resonant
+        half.  Built once per frequency and read-only.
+        """
+        found = self._kernels.get(system_omega)
+        if found is None:
+            om, k2, occ = self._arrays
+            half = 0.5 * np.concatenate([om - system_omega, om + system_omega])
+            zero = np.zeros_like(om)
+            w_n, w_n1 = k2 * occ, k2 * (occ + 1)
+            weights = np.array([np.concatenate(row) for row in (
+                (w_n, zero), (w_n1, zero), (zero, w_n), (zero, w_n1))])
+            for arr in (half, weights):
+                arr.flags.writeable = False
+            found = self._kernels[system_omega] = (half, weights)
+        return found
 
     def early_time_constant(self) -> float:
         """Gamma0 = sum K^2 (2 n + 1)."""
@@ -166,23 +199,6 @@ def bose_occupation(omega: float, kT: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def _phase_integral(delta, t):
-    """int_0^t e^{-i delta s} ds = (e^{-i delta t} - 1)/(-i delta).
-
-    Switches to the series t(1 - ix/2 - x^2/6 + ix^3/24), x = delta*t,
-    when |delta*t| < 1e-6; the resonant point delta = 0 gives exactly t.
-    """
-    delta = np.asarray(delta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = delta * t
-    small = np.abs(x) < 1e-6
-    safe_delta = np.where(small, 1.0, delta)
-    with np.errstate(invalid="ignore"):
-        exact = (np.exp(-1j * x) - 1.0) / (-1j * safe_delta)
-    series = t * (1.0 - 0.5j * x - x**2 / 6.0 + 1j * x**3 / 24.0)
-    return np.where(small, series, exact)
-
-
 def gamma_functions(bath: DiscreteModes, system_omega: float, t):
     """Evaluate (gamma_n, gamma_{n+1}, gtilde_n, gtilde_{n+1}) at time t.
 
@@ -192,23 +208,22 @@ def gamma_functions(bath: DiscreteModes, system_omega: float, t):
     if not isinstance(bath, DiscreteModes):
         raise TypeError("gamma_functions needs a DiscreteModes bath")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if (t_arr < 0).any():
         raise ValueError("t must be >= 0")
-    om, k2, occ = bath.arrays()
-    # shape (nmodes, ...) broadcast over t
-    tt = t_arr[np.newaxis, ...]
-    res = _phase_integral((om - system_omega).reshape((-1,) + (1,) * t_arr.ndim), tt)
-    anti = _phase_integral((om + system_omega).reshape((-1,) + (1,) * t_arr.ndim), tt)
-    w_n = (k2 * occ).reshape((-1,) + (1,) * t_arr.ndim)
-    w_n1 = (k2 * (occ + 1)).reshape((-1,) + (1,) * t_arr.ndim)
-    gamma_n = np.sum(w_n * res, axis=0)
-    gamma_n1 = np.sum(w_n1 * res, axis=0)
-    gtilde_n = np.sum(w_n * anti, axis=0)
-    gtilde_n1 = np.sum(w_n1 * anti, axis=0)
+    half, weights = bath.kernel_constants(system_omega)
+    tt = t_arr.reshape(-1)
+    y = np.multiply.outer(half, tt)
+    s = np.sin(y)
+    # phase integral t e^{-iy} sin(y)/y per (mode half, time), as complex
+    # numbers whose (re, im) pairs one real mat-vec sums
+    f = tt * np.divide(s, y, out=np.ones_like(y), where=y != 0)
+    phase = np.empty(y.shape, dtype=complex)
+    np.multiply(np.cos(y), f, out=phase.real)
+    np.multiply(s, -f, out=phase.imag)
+    g = (weights @ phase.view(float)).view(complex).reshape((4,) + t_arr.shape)
     if t_arr.ndim == 0:
-        return GammaFunctions(complex(gamma_n), complex(gamma_n1),
-                              complex(gtilde_n), complex(gtilde_n1))
-    return GammaFunctions(gamma_n, gamma_n1, gtilde_n, gtilde_n1)
+        return GammaFunctions(*g.tolist())
+    return GammaFunctions(*g)
 
 
 def relaxation_coefficients(bath: BathModel, system_omega: float) -> RelaxationCoefficients:

@@ -34,7 +34,7 @@ by orders of magnitude after a few periods.
 
 The Markov closed form for a coherent branch is
 
-    Q(t) = 2 Re(alpha0 z(t)) e^{-gamma t}
+    Q(t) = 2 Re(alpha0 z*(t)) e^{-gamma t}
     V(t) = 1/2 + n - n e^{-2 gamma t} [1 + (g/w~)^2 (1 - cos 2w~t)
                                          + (g/w~) sin 2w~t]
     z(t) = cos w~t + (g/w~) sin w~t + i (w/w~) sin w~t,  w~ = sqrt(w^2-g^2)
@@ -239,15 +239,14 @@ def markov_z(gamma: float, omega: float, t):
 def analytic_markov(alpha0: complex, gamma: float, omega: float, nbar: float, t):
     """Closed-form Markov relaxation of a coherent branch.
 
-    Returns (Q, V, z) with Q = 2 Re(alpha0 z(t)) e^{-gamma t}; for complex
-    alpha0 the cumulant system corresponds to 2 Re(alpha0 z*(t)) e^{-gamma t}
-    (the two agree for real alpha0, the case exercised everywhere here).
+    Returns (Q, V, z) with Q = 2 Re(alpha0 z*(t)) e^{-gamma t}, the mean
+    coordinate the cumulant system gives for a coherent branch |alpha0>.
     Vectorized over t.
     """
     wt = effective_frequency(omega, gamma)
     t = np.asarray(t, dtype=float)
     z = markov_z(gamma, omega, t)
-    Q = 2.0 * np.real(alpha0 * z) * np.exp(-gamma * t)
+    Q = 2.0 * np.real(alpha0 * np.conj(z)) * np.exp(-gamma * t)
     r = gamma / wt
     V = 0.5 + nbar - nbar * np.exp(-2 * gamma * t) * (
         1.0 + r * r * (1.0 - np.cos(2 * wt * t)) + r * np.sin(2 * wt * t))

@@ -24,7 +24,8 @@ trace-free, since tr[A,B] = 0 termwise):
 * Lindblad channel (rate, L, L^+, L^+L):
       rate (2 L s L^+ - L^+L s - s L^+L) = rate D[L]s;
 * commutator sandwich (rate, C, Y, D):
-      rate ([C s, Y] + [Y, s D]).
+      rate ([C s, Y] + [Y, s D]) = rate [C s - s D, Y],
+  four dense products per sandwich.
 
 The kinds, with X = a + a^+:
 
@@ -42,7 +43,8 @@ The kinds, with X = a + a^+:
   (Gamma (n+1), a^2, a^+2, a^2) and (Gamma n, a^+2, a^2, a^+2).
 * time-dependent second-order kernel: the sandwich (1, C(t), X, C(t)^+)
   with C(t) = (gamma_{n+1} + conj(gtilde_n)) a + (conj(gamma_n)
-  + gtilde_{n+1}) a^+ from the bath gamma functions, rebuilt per t.
+  + gtilde_{n+1}) a^+ from the bath gamma functions, built once per
+  distinct t and kept for the last SANDWICH_CACHE_SIZE of them.
 
 Terms with a zero rate are left out.
 """
@@ -52,8 +54,9 @@ from __future__ import annotations
 import math
 import mmap
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -74,6 +77,8 @@ TRUNCATION_DEFICIT = 1e-9
 TOP_WARN = 1e-6
 TOP_ERROR = 1e-3
 POSITIVITY_THRESHOLD = -1e-6
+# Most time-dependent sandwiches (one per distinct t) a Liouvillian keeps.
+SANDWICH_CACHE_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +246,24 @@ class TimeDependent:
             raise ValueError("TimeDependent requires a DiscreteModes bath")
 
     def terms(self, a, ad, X, omega):
-        cache: Dict[float, Tuple[complex, complex]] = {}
+        # one sandwich per distinct t, the oldest dropped first: a trial step
+        # of integrate asks for five stage times, all of which stay cached
+        cache: OrderedDict = OrderedDict()
 
         def sandwiches(t):
             if t < 0:
                 raise ValueError("time-dependent kernel is defined for t >= 0 only")
-            if t not in cache:
-                if len(cache) > 64:
-                    cache.clear()
+            found = cache.get(t)
+            if found is None:
                 g = gamma_functions(self.bath, omega, t)
-                cache[t] = (g.gamma_n1 + np.conj(g.gtilde_n),
-                            np.conj(g.gamma_n) + g.gtilde_n1)
-            mu_plus_nuc, nu = cache[t]
-            C = mu_plus_nuc * a + nu * ad
-            return ((1.0, C, X, C.conj().T),)
+                C = (g.gamma_n1 + np.conj(g.gtilde_n)) * a \
+                    + (np.conj(g.gamma_n) + g.gtilde_n1) * ad
+                found = cache[t] = ((1.0, C, X, C.conj().T),)
+                if len(cache) > SANDWICH_CACHE_SIZE:
+                    cache.popitem(last=False)
+            return found
+
+        sandwiches.cache = cache
         return (), sandwiches
 
 
@@ -285,9 +294,8 @@ class Liouvillian:
         for rate, L, Ld, LdL in self._channels:
             out += rate * (2.0 * (L @ sigma) @ Ld - LdL @ sigma - sigma @ LdL)
         for rate, C, Y, D in self._sandwiches(t):
-            Cs = C @ sigma
-            sD = sigma @ D
-            out += rate * (Cs @ Y - Y @ Cs + Y @ sD - sD @ Y)
+            M = C @ sigma - sigma @ D
+            out += rate * (M @ Y - Y @ M)
         return out
 
     def superoperator(self, t: float = 0.0) -> scipy.sparse.csr_array:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,6 +44,15 @@ FOCK_DISSIPATORS = {
 }
 # default of a leaf that must be present
 _REQUIRED = object()
+# Upper bounds on counts, far above every preset (400 time points, 2048
+# q-points, 201 comb modes), so that a mistyped count is a config error and
+# not an allocation of terabytes.
+MAX_POINTS = 10_000             # time.points, a.points, bc.points
+MAX_QGRID_POINTS = 65_536       # qgrid.points
+MAX_FRAME_VALUES = 10_000_000   # frames x q-points of one frame stack
+MAX_COMB_MODES = 10_000         # bath.comb.n_modes
+_POINTS = f">= 2 and <= {MAX_POINTS}"
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -97,6 +107,30 @@ _flag, _text, _table = (_typed(bool, "true or false"), _typed(str, "a string"),
                         _typed(dict, "a table"))
 
 
+def _file_name(key: str, value) -> str:
+    """A string usable as a file name inside the output directory."""
+    name = _text(key, value)
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{key} must be a plain file name (no path separator, "
+                          f"not '.' or '..'), got {value!r}")
+    return name
+
+
+def _cat_amplitude(key: str, value) -> complex:
+    """A finite non-zero alpha: a cat of zero amplitude is not a state."""
+    x = _finite(key, value)
+    if x == 0:
+        raise ConfigError(f"{key} must be finite and non-zero for a cat state, "
+                          f"got {value!r}")
+    return x
+
+
+def _check_frame_values(keys: str, n_frames: int, n_points: int) -> None:
+    if n_frames * n_points > MAX_FRAME_VALUES:
+        raise ConfigError(f"{keys} must be <= {MAX_FRAME_VALUES} when frames are "
+                          f"written, got {n_frames} * {n_points}")
+
+
 def _modes(key: str, value) -> Tuple[bath_mod.Mode, ...]:
     """[[omega, coupling], ...] or [[omega, coupling, occupation], ...] as modes."""
     if not (isinstance(value, list) and value
@@ -125,9 +159,9 @@ class ScenarioConfig:
 
         `check(key, value)` converts the value or raises ConfigError; a
         tuple in its place lists the allowed values.  `bound` is a range
-        such as "> 0" or ">= 2".  The default is checked like a given
-        value, except None, which marks an optional leaf and is returned
-        as it is.  Every error names the key.
+        such as "> 0", ">= 2" or ">= 2 and <= 10000".  The default is
+        checked like a given value, except None, which marks an optional
+        leaf and is returned as it is.  Every error names the key.
         """
         value = self.raw
         for part in key.split("."):
@@ -146,16 +180,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be one of {check}, got {value!r}")
             return value
         x = check(key, value)
-        if bound:
-            op, limit = bound.split()
-            if not (x > float(limit) if op == ">" else x >= float(limit)):
+        for clause in bound.split(" and ") if bound else ():
+            op, limit = clause.split()
+            if not _COMPARE[op](x, float(limit)):
                 raise ConfigError(f"{key} must be finite and {bound}, got {value!r}")
         return x
 
     # checked views -----------------------------------------------------------
     @property
     def scenario(self) -> str:
-        return self.leaf("scenario", "custom", _text)
+        return self.leaf("scenario", "custom", _file_name)
 
     @property
     def omega(self) -> float:
@@ -167,14 +201,15 @@ class ScenarioConfig:
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.leaf("time.span", 10.0, bound="> 0"),
-                           self.leaf("time.points", 400, _integer, ">= 2"))
+                           self.leaf("time.points", 400, _integer, _POINTS))
 
     def q_grid(self) -> np.ndarray:
         q_min, q_max = self.leaf("qgrid.min", -12.0), self.leaf("qgrid.max", 12.0)
         if not q_min < q_max:
             raise ConfigError(f"qgrid.min must be below qgrid.max, "
                               f"got min={q_min}, max={q_max}")
-        return np.linspace(q_min, q_max, self.leaf("qgrid.points", 2048, _integer, ">= 2"))
+        return np.linspace(q_min, q_max, self.leaf("qgrid.points", 2048, _integer,
+                                                   f">= 2 and <= {MAX_QGRID_POINTS}"))
 
     @property
     def initial_kind(self) -> str:
@@ -182,8 +217,9 @@ class ScenarioConfig:
 
     @property
     def alpha(self) -> complex:
-        return self.leaf("initial.alpha", 2.0 if self.initial_kind == "cat" else 1.0,
-                         _finite)
+        if self.initial_kind == "cat":
+            return self.leaf("initial.alpha", 2.0, _cat_amplitude)
+        return self.leaf("initial.alpha", 1.0, _finite)
 
     @property
     def phi(self) -> float:
@@ -244,7 +280,8 @@ class ScenarioConfig:
         comb = dict(
             center=read("bath.comb.center", bound="> 0"),
             width=read("bath.comb.width", bound="> 0"),
-            n_modes=read("bath.comb.n_modes", check=_integer, bound=">= 2"),
+            n_modes=read("bath.comb.n_modes", check=_integer,
+                         bound=f">= 2 and <= {MAX_COMB_MODES}"),
             total_coupling_sq=read("bath.comb.total_coupling_sq", bound=">= 0"),
             occupation=read("bath.comb.occupation", 0.0, bound=">= 0"))
         try:
@@ -269,8 +306,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Read every leaf a scenario run needs; a bad one raises ConfigError."""
         # each view reads and checks its leaves
-        (self.scenario, self.omega, self.emit_frames, self.time_grid(), self.q_grid(),
-         self.alpha, self.phi, self.tolerances)
+        self.scenario, self.omega, self.alpha, self.phi, self.tolerances
+        n_frames, n_points = self.time_grid().size, self.q_grid().size
+        if self.emit_frames:
+            _check_frame_values("time.points * qgrid.points", n_frames, n_points)
         bkind, ikind, skind = self.bath_kind, self.initial_kind, self.solver_kind
         if skind in ("cumulant", "analytic") and ikind == "number":
             raise ConfigError(
@@ -538,7 +577,7 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     config = config or fig4_config()
     omega, read = config.omega, config.leaf
     times_a = np.linspace(0.0, read("a.span", bound="> 0"),
-                          read("a.points", check=_integer, bound=">= 2"))
+                          read("a.points", check=_integer, bound=_POINTS))
     dim_a = read("a.dim", check=_integer, bound=">= 1")
     alpha0 = read("a.alpha0", check=_finite)
     kinds_a = (fock_mod.LinearNonRWA(gamma=read("a.gamma", bound=">= 0"), nbar=0.0),
@@ -552,10 +591,11 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
             nbar2=bath_mod.bose_occupation(2 * omega, kT)),
     }
     dim = read("bc.dim", check=_integer, bound=">= 1")
-    alpha, phi = read("bc.alpha", check=_finite), read("bc.phi")
+    alpha, phi = read("bc.alpha", check=_cat_amplitude), read("bc.phi")
     times_bc = np.linspace(0.0, read("bc.span", bound="> 0"),
-                           read("bc.points", check=_integer, bound=">= 2"))
+                           read("bc.points", check=_integer, bound=_POINTS))
     grid = config.q_grid()
+    _check_frame_values("bc.points * qgrid.points", times_bc.size, grid.size)
     result = ScenarioResult(name="fig4", times=times_a)
 
     # (a) coherent state, linear vs two-quantum bath

@@ -11,6 +11,26 @@ from oscbath import bath
 SQRT3 = math.sqrt(3.0)
 
 
+def reference_gamma_functions(modes, omega, t):
+    """The four mode sums with (e^{-i d t} - 1)/(-i d) per mode, and its
+    series t (1 - ix/2 - x^2/6 + ix^3/24), x = d t, where |x| < 1e-6."""
+    om, k2, occ = modes.arrays()
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
+
+    def phase_integral(d):
+        x = d * t
+        small = np.abs(x) < 1e-6
+        with np.errstate(invalid="ignore", divide="ignore"):
+            exact = (np.exp(-1j * x) - 1.0) / (-1j * np.where(small, 1.0, d))
+        series = t * (1.0 - 0.5j * x - x**2 / 6.0 + 1j * x**3 / 24.0)
+        return np.where(small, series, exact)
+
+    res, anti = phase_integral(om - omega), phase_integral(om + omega)
+    w_n, w_n1 = k2 * occ, k2 * (occ + 1)
+    return np.array([np.sum(w * p, axis=-1)
+                     for w, p in ((w_n, res), (w_n1, res), (w_n, anti), (w_n1, anti))])
+
+
 class TestBoseOccupation:
     def test_half_quantum_at_double_frequency(self):
         # kT = 2/ln 3 puts exactly half a quantum at omega = 2
@@ -136,6 +156,23 @@ class TestGammaFunctions:
         with pytest.raises(ValueError):
             bath.gamma_functions(modes, 1.0, -0.1)
 
+    def test_sinc_form_matches_reference_sum(self):
+        # t e^{-iy} sin(y)/y against the quotient-plus-series form, with a
+        # mode exactly at resonance, on one bath called at two frequencies
+        # in turn (w = -1 puts the resonant mode in the tilde sums)
+        comb = bath.flat_comb(center=1.0, width=1.0, n_modes=41,
+                              total_coupling_sq=0.0064, occupation=0.5)
+        modes = bath.DiscreteModes(comb.modes + (bath.Mode(1.0, 0.05, 0.2),))
+        ts = np.concatenate([[0.0, 1e-12, 1e-7], np.linspace(0.0, 60.0, 601)])
+        for omega in (1.0, -1.0, 1.0):
+            ref = reference_gamma_functions(modes, omega, ts)
+            got = np.array(bath.gamma_functions(modes, omega, ts))
+            scalar = np.array([bath.gamma_functions(modes, omega, t) for t in ts]).T
+            for g in (got, scalar):
+                assert np.all(np.abs(g - ref) <= 1e-12 * np.abs(ref))
+        grid = np.array([[0.5, 3.0], [1e-7, 60.0]])
+        assert np.array(bath.gamma_functions(modes, 1.0, grid)).shape == (4, 2, 2)
+
 
 class TestRelaxationCoefficients:
     def test_linear_markov_constants(self):
@@ -225,6 +262,25 @@ class TestSharedModeSums:
         np.testing.assert_array_equal(om, [m.omega for m in comb.modes])
         np.testing.assert_array_equal(k2, [m.coupling ** 2 for m in comb.modes])
         np.testing.assert_array_equal(occ, [m.occupation for m in comb.modes])
+
+    def test_kernel_constants_cached_per_frequency_and_read_only(self):
+        comb = bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                              total_coupling_sq=0.0064, occupation=0.5)
+        half, weights = comb.kernel_constants(1.0)
+        assert comb.kernel_constants(1.0)[1] is weights
+        assert comb.kernel_constants(-1.0)[0] is not half
+        assert half.shape == (42,) and weights.shape == (4, 42)
+        for arr in (half, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        om, k2, occ = comb.arrays()
+        np.testing.assert_array_equal(half, np.concatenate([om - 1.0, om + 1.0]) / 2)
+        w_n, w_n1, zero = k2 * occ, k2 * (occ + 1), np.zeros(21)
+        np.testing.assert_array_equal(weights, [np.concatenate(row) for row in (
+            (w_n, zero), (w_n1, zero), (zero, w_n), (zero, w_n1))])
+        assert comb == bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                                      total_coupling_sq=0.0064, occupation=0.5)
 
     def test_cached_arrays_leave_equality_alone(self):
         modes = (bath.Mode(1.2, 0.2, 0.5), bath.Mode(0.7, 0.15, 0.2))

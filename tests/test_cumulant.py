@@ -42,6 +42,19 @@ class TestMarkovStage:
         assert np.abs(q - qa).max() < 1e-8
         assert np.abs(v - va).max() < 1e-8
 
+    @pytest.mark.parametrize("alpha0", [1 + 1j, -0.4 + 1.3j, 2.0])
+    def test_complex_alpha_matches_superposition(self, alpha0):
+        # Q = 2 Re(alpha0 z*) e^{-gamma t}; with z in place of z* a complex
+        # alpha0 is off by up to 3.45 at alpha0 = 1 + i
+        omega, gamma = 1.0, 0.1
+        ts = np.linspace(0, 30, 300)
+        state = cum.coherent_state(alpha0, system_omega=omega)
+        coeffs = bath.relaxation_coefficients(bath.LinearMarkov(gamma, 0.0), omega)
+        (branch,) = cum.evolve_superposition(state, coeffs, ts)
+        q = np.array([c.center.real for c in branch])
+        qa, _, _ = cum.analytic_markov(alpha0, gamma, omega, 0.0, ts)
+        assert np.abs(q - qa).max() < 1e-8
+
     def test_initial_values(self):
         q, v, z = cum.analytic_markov(1.5 + 0.5j, 0.2, 1.0, 0.7, 0.0)
         assert q == pytest.approx(2 * 1.5)

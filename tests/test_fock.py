@@ -200,6 +200,42 @@ class TestLiouvillian:
         with pytest.raises(ValueError):
             fock.liouvillian_apply(kind, sigma, t=-0.5)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+    def test_matches_six_product_sandwich(self, kind):
+        # apply writes [C s, Y] + [Y, s D] as [C s - s D, Y]; the same terms
+        # with both commutators multiplied out agree to rounding
+        L = fock.Liouvillian(kind, 1.3, 30)
+        sigma = random_hermitian_state(30, seed=5).sigma
+        for t in (0.0, 0.7, 12.5):
+            expected = L._ham_phase * sigma
+            for rate, A, Ad, AdA in L._channels:
+                expected += rate * (2.0 * (A @ sigma) @ Ad - AdA @ sigma - sigma @ AdA)
+            for rate, C, Y, D in L._sandwiches(t):
+                Cs, sD = C @ sigma, sigma @ D
+                expected += rate * (Cs @ Y - Y @ Cs + Y @ sD - sD @ Y)
+            got = L.apply(sigma, t)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_time_dependent_sandwich_cache(self, monkeypatch):
+        # one gamma_functions call per distinct t while it is cached, and
+        # never more than SANDWICH_CACHE_SIZE sandwiches held
+        calls = []
+        real = fock.gamma_functions
+        monkeypatch.setattr(fock, "gamma_functions",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        L = fock.Liouvillian(ALL_KINDS[-1], 1.0, 8)
+        sigma = random_hermitian_state(8, seed=2).sigma
+        size = fock.SANDWICH_CACHE_SIZE
+        stages = (0.0, 0.5, 1.0, 0.25, 0.75)
+        for t in stages + stages[::-1]:
+            L.apply(sigma, t)
+        assert calls == list(stages)
+        for t in np.linspace(2.0, 9.0, 3 * size):
+            L.apply(sigma, t)
+            assert len(L._sandwiches.cache) <= size
+        assert len(L._sandwiches.cache) == size
+        assert len(calls) == len(stages) + 3 * size
+
 
 class TestIntegrate:
     def test_rwa_coherent_decay(self):

@@ -57,8 +57,13 @@ FUZZ_TREES = [
     {"bath": {"kind": "early-time", "Gamma0": 0.1},
      "initial": {"kind": "coherent", "alpha": 0.5}, "solver": {"kind": "cumulant"}},
 ]
+# not file names, zero cat amplitudes and counts far above their bounds
+PATHS = (".", "..", "../escape", "a/b")
+ZERO = (0, [0, 0])
+HUGE = 10**12
 BAD_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, None]),
+    st.sampled_from(PATHS + ZERO + (HUGE,)),
     st.text(alphabet="abefijnty", max_size=8),
     st.lists(st.one_of(st.floats(), st.text("ab", max_size=2)), max_size=3),
     st.integers(-10**6, -1),
@@ -206,6 +211,15 @@ class TestConfigValidation:
         ({"emit_frames": "no"}, "emit_frames"),
         ({"solver": {"kind": "fock", "dim": 8}, "initial": {"kind": "number", "k": 8}},
          "initial.k"),
+        ({"scenario": "../escape"}, "scenario"),
+        ({"scenario": ".."}, "scenario"),
+        ({"scenario": "."}, "scenario"),
+        ({"initial": {"kind": "cat", "alpha": 0}}, "initial.alpha"),
+        ({"initial": {"kind": "cat", "alpha": [0.0, 0.0]}}, "initial.alpha"),
+        ({"time": {"points": HUGE}}, "time.points"),
+        ({"qgrid": {"points": HUGE}}, "qgrid.points"),
+        ({"bath": {"kind": "discrete-modes", "comb": dict(COMB, n_modes=HUGE)}},
+         "bath.comb.n_modes"),
     ])
     def test_non_finite_fields_rejected(self, override, key):
         with pytest.raises(ConfigError, match=key):
@@ -221,11 +235,35 @@ class TestConfigValidation:
         node = tree
         for part in parents:
             node = node[part]
-        node[last] = data.draw(BAD_VALUES)
+        value = node[last] = data.draw(BAD_VALUES)
+        must_fail = ((key == "scenario" and value in PATHS)
+                     or (key in ("time.points", "qgrid.points", "bath.comb.n_modes")
+                         and value == HUGE)
+                     or (key == "initial.alpha" and value in ZERO
+                         and tree["initial"].get("kind") == "cat"))
         try:
             sc.ScenarioConfig.from_dict(tree)
         except ConfigError as exc:
             assert key in str(exc)
+        else:
+            assert not must_fail
+
+    def test_counts_bounded_above(self):
+        # each bound admits its own value; the frame bound holds only when
+        # frames are written
+        base_tree(time={"points": sc.MAX_POINTS}, emit_frames=False)
+        base_tree(qgrid={"points": sc.MAX_QGRID_POINTS}, time={"points": 2})
+        for leaf, limit in (("time", sc.MAX_POINTS), ("qgrid", sc.MAX_QGRID_POINTS)):
+            with pytest.raises(ConfigError, match=f"{leaf}.points must be finite"):
+                base_tree(**{leaf: {"points": limit + 1}})
+        frames = {"time": {"points": 5000}, "qgrid": {"points": 2001}}
+        assert 5000 * 2001 > sc.MAX_FRAME_VALUES
+        with pytest.raises(ConfigError, match="when frames are written"):
+            base_tree(**frames)
+        base_tree(**frames, emit_frames=False)
+        with pytest.raises(ConfigError, match="bc.points"):
+            sc.run_fig4(sc.fig4_config({"bc": {"points": 5000},
+                                        "qgrid": {"points": 2001}}))
 
     def test_kT_to_occupation(self):
         def bath(cfg):
@@ -478,23 +516,34 @@ class TestCli:
         ("early_gamma0=NaN", "early_gamma0"),
         ("bc.kT=-1", "bc.kT"),
         ("a.points=1", "a.points"),
+        ("scenario=../escape", "scenario"),
+        ("initial.alpha=0", "initial.alpha"),
+        ("bc.alpha=0", "bc.alpha"),
+        ("time.points=1e12", "time.points"),
+        ("qgrid.points=1e9", "qgrid.points"),
+        ("bc.points=1e12", "bc.points"),
+        ("time.points=10000", "qgrid.points"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
         # run in a child process: before validation caught these, some hung
-        # the solver and others failed with a misleading message or none;
-        # early_gamma0 belongs to fig3, the a.* and bc.* leaves to fig4
-        figure = {"early_gamma0": "fig3", "a": "fig4", "bc": "fig4"}.get(
+        # the solver, some wrote outside --out, others failed with a
+        # misleading message or none; early_gamma0 belongs to fig3, the a.*
+        # and bc.* leaves to fig4, and fig2's initial state is a cat
+        figure = {"initial.alpha=0": "fig2"}.get(override) or {
+            "early_gamma0": "fig3", "a": "fig4", "bc": "fig4"}.get(
             override.split("=")[0].split(".")[0], "fig1")
+        text = {"scenario=../escape": "plain file name",
+                "time.points=10000": "when frames are written"}.get(override, "finite")
         src = os.path.dirname(os.path.dirname(sc.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
-            [sys.executable, "-m", "oscbath.cli", figure, "--out", str(tmp_path),
-             "--set", override],
+            [sys.executable, "-m", "oscbath.cli", figure, "--out",
+             str(tmp_path / "inner"), "--set", override],
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 1
-        assert key in proc.stderr and "finite" in proc.stderr
+        assert key in proc.stderr and text in proc.stderr
         assert os.listdir(tmp_path) == []
 
     def test_fig3_needs_rwa_dissipator(self, tmp_path, capsys):
