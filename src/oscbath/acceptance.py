@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import bath as bath_mod
 from . import cumulant as cum
@@ -102,6 +101,8 @@ class AcceptanceSuite:
 
     # -- 1 ------------------------------------------------------------------
     def criterion_1(self) -> CriterionResult:
+        from scipy.optimize import curve_fit
+
         t0 = time.perf_counter()
         omega, gamma, nbar = 1.0, 0.25, 0.4
         target = math.sqrt(omega**2 - gamma**2)
@@ -181,6 +182,8 @@ class AcceptanceSuite:
 
     # -- 4 ------------------------------------------------------------------
     def criterion_4(self) -> CriterionResult:
+        from scipy.optimize import curve_fit
+
         t0 = time.perf_counter()
         omega, gamma = 1.0, 0.1
         nbar = bath_mod.bose_occupation(omega, 3.0)

@@ -5,8 +5,14 @@ Implements the reduced-density-matrix generators on a finite level basis
 
 * integrate: classic fourth-order Runge-Kutta under step-doubling error
   control, for any kind and the only path for the time-dependent kernel.
-  After every accepted step the state is re-symmetrized, sigma <- (sigma +
-  sigma^+)/2; herm_drift is the largest correction of a reporting interval.
+  It steps the state in the frame rotating at w, y_mn = e^{iw(m-n)t}
+  sigma_mn, whose generator is the dissipator alone, P(t) D(conj(P(t)) y, t)
+  with P_mn = e^{iw(m-n)t}; the free rotation, known exactly, then costs no
+  steps.  |y_mn| = |sigma_mn| and y is a unitary similarity of sigma, so the
+  error control and every monitor read the same in either frame.  After
+  every accepted step the state is re-symmetrized, y <- (y + y^+)/2;
+  herm_drift is the largest correction of a reporting interval.  Each
+  recorded frame is rotated back, sigma = conj(P) y.
 * propagate: exp(L t) sigma0 on a uniform grid, for the time-independent
   kinds.  When the generator keeps the coherence order m - n (RWA and both
   two-quantum forms) it splits into 2 dim - 1 blocks of size <= dim, each
@@ -385,8 +391,11 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
               max_steps: int = 5_000_000) -> FockTrajectory:
     """Adaptive step-doubling RK4 trajectory reported at grid points.
 
-    Each accepted step takes one h-step and two h/2-steps, combines them
-    with local extrapolation, and re-symmetrizes the state; the
+    The steps are taken in the frame rotating at omega (see the module
+    docstring); each right-hand side calls Liouvillian.apply once and takes
+    the Hamiltonian phase back off its result.  Each accepted step takes
+    one h-step and two h/2-steps, combines them with local extrapolation,
+    and re-symmetrizes the state; the
     pre-symmetrization defect is logged per reporting interval.  The
     top-level population is watched: above TOP_WARN the run is flagged,
     above TOP_ERROR it aborts.  The minimum eigenvalue is monitored per
@@ -395,9 +404,18 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     t_grid = _checked_grid(t_grid, sigma0)
 
     L = Liouvillian(kind, omega, sigma0.dim)
+    levels = np.arange(sigma0.dim)
+
+    def phases(t):
+        """P(t), P_mn = e^{i w (m - n) t}: the lab frame state is conj(P) y."""
+        u = np.exp(1j * omega * t * levels)
+        return np.multiply.outer(u, u.conj())
 
     def f(t, y):
-        return L.apply(y, t)
+        # dy/dt = P (L sigma - H sigma), H sigma the Hamiltonian phase term
+        P = phases(t)
+        sigma = P.conj() * y
+        return P * (L.apply(sigma, t) - L._ham_phase * sigma)
 
     y = sigma0.sigma.copy()
     t = 0.0
@@ -412,12 +430,13 @@ def integrate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     tops: List[float] = []
 
     def record(frame_drift):
-        states.append(y.copy())
-        traces.append(float(np.trace(y).real))
+        sigma = phases(t).conj() * y
+        states.append(sigma)
+        traces.append(float(np.trace(sigma).real))
         drifts.append(frame_drift)
-        eigmin = float(np.linalg.eigvalsh(0.5 * (y + y.conj().T)).min())
+        eigmin = float(np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T)).min())
         mins.append(eigmin)
-        tops.append(float(y[-1, -1].real))
+        tops.append(float(sigma[-1, -1].real))
 
     frame_drift = 0.0
     record(0.0)

@@ -51,7 +51,13 @@ MAX_POINTS = 10_000             # time.points, a.points, bc.points
 MAX_QGRID_POINTS = 65_536       # qgrid.points
 MAX_FRAME_VALUES = 10_000_000   # frames x q-points of one frame stack
 MAX_COMB_MODES = 10_000         # bath.comb.n_modes
+MAX_DIM = 1_000                 # solver.dim, a.dim, bc.dim
+MAX_STATE_VALUES = 10_000_000   # frames x dim^2 of one Fock state stack
+# Smallest cat normalisation N^2 = 2 + 2 cos(phi) e^{-2|alpha|^2}: it is a
+# difference of numbers near 2, so below this it keeps under four digits.
+MIN_CAT_NORM2 = 1e-12
 _POINTS = f">= 2 and <= {MAX_POINTS}"
+_DIM = f">= 2 and <= {MAX_DIM}"
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
@@ -129,6 +135,19 @@ def _check_frame_values(keys: str, n_frames: int, n_points: int) -> None:
     if n_frames * n_points > MAX_FRAME_VALUES:
         raise ConfigError(f"{keys} must be <= {MAX_FRAME_VALUES} when frames are "
                           f"written, got {n_frames} * {n_points}")
+
+
+def _check_state_values(keys: str, n_frames: int, dim: int) -> None:
+    if n_frames * dim * dim > MAX_STATE_VALUES:
+        raise ConfigError(f"{keys} must be <= {MAX_STATE_VALUES} for the Fock "
+                          f"state stack, got {n_frames} * {dim}^2")
+
+
+def _check_cat_norm(key: str, alpha: complex, phi: float) -> None:
+    """Refuse a cat whose normalisation N^2 rounds to (near) zero."""
+    if cum.cat_norm2(alpha, phi) <= MIN_CAT_NORM2:
+        raise ConfigError(f"{key} gives a cat normalisation N^2 <= {MIN_CAT_NORM2:g} "
+                          f"with phi={phi!r}; use a larger |alpha| or another phi")
 
 
 def _modes(key: str, value) -> Tuple[bath_mod.Mode, ...]:
@@ -218,7 +237,9 @@ class ScenarioConfig:
     @property
     def alpha(self) -> complex:
         if self.initial_kind == "cat":
-            return self.leaf("initial.alpha", 2.0, _cat_amplitude)
+            alpha = self.leaf("initial.alpha", 2.0, _cat_amplitude)
+            _check_cat_norm("initial.alpha", alpha, self.phi)
+            return alpha
         return self.leaf("initial.alpha", 1.0, _finite)
 
     @property
@@ -235,7 +256,7 @@ class ScenarioConfig:
 
     @property
     def dim(self) -> int:
-        return self.leaf("solver.dim", 30, _integer, ">= 1")
+        return self.leaf("solver.dim", 30, _integer, _DIM)
 
     @property
     def tolerances(self) -> Tuple[float, float]:
@@ -325,6 +346,7 @@ class ScenarioConfig:
                 f"not bath.kind {bkind!r}")
         if skind == "fock":
             dim, _ = self.dim, self.dissipator
+            _check_state_values("time.points * solver.dim^2", n_frames, dim)
             if ikind == "number" and self.k >= dim:
                 raise ConfigError(f"initial.k must be below solver.dim={dim}, "
                                   f"got {self.k}")
@@ -578,7 +600,8 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     omega, read = config.omega, config.leaf
     times_a = np.linspace(0.0, read("a.span", bound="> 0"),
                           read("a.points", check=_integer, bound=_POINTS))
-    dim_a = read("a.dim", check=_integer, bound=">= 1")
+    dim_a = read("a.dim", check=_integer, bound=_DIM)
+    _check_state_values("a.points * a.dim^2", times_a.size, dim_a)
     alpha0 = read("a.alpha0", check=_finite)
     kinds_a = (fock_mod.LinearNonRWA(gamma=read("a.gamma", bound=">= 0"), nbar=0.0),
                fock_mod.QuadraticLindblad(Gamma=read("a.Gamma", bound=">= 0"), nbar2=0.0))
@@ -590,10 +613,12 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
             Gamma=read("bc.Gamma", bound=">= 0"),
             nbar2=bath_mod.bose_occupation(2 * omega, kT)),
     }
-    dim = read("bc.dim", check=_integer, bound=">= 1")
+    dim = read("bc.dim", check=_integer, bound=_DIM)
     alpha, phi = read("bc.alpha", check=_cat_amplitude), read("bc.phi")
+    _check_cat_norm("bc.alpha", alpha, phi)
     times_bc = np.linspace(0.0, read("bc.span", bound="> 0"),
                            read("bc.points", check=_integer, bound=_POINTS))
+    _check_state_values("bc.points * bc.dim^2", times_bc.size, dim)
     grid = config.q_grid()
     _check_frame_values("bc.points * qgrid.points", times_bc.size, grid.size)
     result = ScenarioResult(name="fig4", times=times_a)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cumulant import (BranchCumulants, SuperpositionState, cat_norm2,
                        effective_frequency)
@@ -176,6 +175,8 @@ def find_collision_times(gamma: float, omega: float, nbar: float,
     Located by maximizing the interference exponent
     (Im(a z))^2 e^{-2gt} / V near w~ t = pi/2 + k pi.
     """
+    from scipy.optimize import minimize_scalar
+
     from .cumulant import analytic_markov
 
     wt = effective_frequency(omega, gamma)

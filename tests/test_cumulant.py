@@ -202,6 +202,50 @@ class TestMakeCat:
             cum.make_cat(0.0, 0.0)
 
 
+def lab_frame_rhs(t, y, omega, coeffs):
+    """The module docstring's cumulant system, written out in the lab frame."""
+    K10, K01, K11, K20, K02 = y
+    mu, nu = coeffs.mu(t), coeffs.nu(t)
+    mu_c = np.conj(mu)
+    return [(1j * omega - mu_c) * K10 + mu * K01,
+            -(1j * omega + mu) * K01 + mu_c * K10,
+            2 * nu.real - 2 * mu.real * K11 + 2 * mu * K02 + 2 * mu_c * K20,
+            -np.conj(nu) + mu * K11 + 2 * (1j * omega - mu_c) * K20,
+            -nu + mu_c * K11 - 2 * (1j * omega + mu) * K02]
+
+
+class TestRotatingFrame:
+    def test_matches_lab_frame_solve_ivp(self):
+        from scipy.integrate import solve_ivp
+
+        comb = bath.flat_comb(center=1.0, width=1.0, n_modes=21,
+                              total_coupling_sq=0.02, occupation=0.5)
+        omega = 1.0
+        coeffs = bath.relaxation_coefficients(comb, omega)
+        ts = np.linspace(0.0, 10.0, 41)
+        initial = cum.BranchCumulants.initial(1.1 + 0.4j, 0.7 - 0.2j)
+        y0 = [initial.K10, initial.K01, 0j, 0j, 0j]
+        ref = solve_ivp(lab_frame_rhs, (0.0, ts[-1]), np.array(y0), t_eval=ts,
+                        method="DOP853", rtol=1e-13, atol=1e-15,
+                        args=(omega, coeffs))
+        assert ref.success
+        got = cum.evolve_cumulants(initial, coeffs, omega, ts)
+        mine = np.array([[c.K10, c.K01, c.K11, c.K20, c.K02] for c in got]).T
+        assert np.abs(mine - ref.y).max() <= 1e-9
+        # the comb leaves a visible imprint: the second cumulants are not small
+        assert np.abs(ref.y[2:]).max() > 1e-2
+
+    def test_step_budget_reported_with_time(self):
+        from oscbath.errors import IntegrationError
+
+        co = constant_coeffs(0.1, 0.05)
+        with pytest.raises(IntegrationError) as exc:
+            cum.evolve_cumulants(cum.BranchCumulants.initial(1, 1), co, 1.0,
+                                 np.linspace(0.0, 50.0, 11), max_evals=30)
+        assert exc.value.time is not None and 0.0 < exc.value.time < 50.0
+        assert f"t={exc.value.time:g}" in str(exc.value)
+
+
 class TestGridValidation:
     def test_grid_must_start_at_zero(self):
         co = constant_coeffs(0, 0)

@@ -312,6 +312,47 @@ class TestIntegrate:
         assert np.abs(obs["meanQ"] - qc).max() < 1e-4
         assert np.abs(obs["V"] - vc).max() < 1e-4
 
+    @pytest.mark.parametrize("kind, state", [
+        (fock.LinearNonRWA(gamma=0.1, nbar=0.4), "coherent"),
+        (fock.LinearRWA(gamma=0.1, nbar=0.4), "coherent"),
+        (fock.QuadraticLindblad(Gamma=0.1, nbar2=0.4), "coherent"),
+        # not Hermiticity-preserving on coherences (see test_matches_rk4)
+        (fock.QuadraticLiteral(Gamma=0.005, nbar2=0.4), "mixture"),
+        (fock.TimeDependent(bath=bath.flat_comb(
+            center=1.0, width=1.0, n_modes=21, total_coupling_sq=0.02,
+            occupation=0.5)), "coherent"),
+    ], ids=["LinearNonRWA", "LinearRWA", "QuadraticLindblad", "QuadraticLiteral",
+            "TimeDependent"])
+    def test_matches_lab_frame_rk4(self, kind, state):
+        # integrate steps the rotating-frame state; a fixed-step RK4 on
+        # Liouvillian.apply in the lab frame is the reference
+        dim, omega = 14, 1.0
+        if state == "coherent":
+            s0 = fock.coherent_density_matrix(0.9 + 0.6j, dim)
+        else:
+            pops = np.zeros(dim)
+            pops[:4] = (0.4, 0.3, 0.2, 0.1)
+            s0 = fock.FockDensityMatrix(dim=dim, sigma=np.diag(pops))
+        ts = np.linspace(0.0, 3.0, 7)
+        L = fock.Liouvillian(kind, omega, dim)
+        y, ref, n_sub = s0.sigma.copy(), [s0.sigma], 500
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            h = (t1 - t0) / n_sub
+            for k in range(n_sub):
+                t = t0 + k * h
+                k1 = L.apply(y, t)
+                k2 = L.apply(y + 0.5 * h * k1, t + 0.5 * h)
+                k3 = L.apply(y + 0.5 * h * k2, t + 0.5 * h)
+                k4 = L.apply(y + h * k3, t + h)
+                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            ref.append(y)
+        traj = fock.integrate(kind, s0, omega, ts)
+        dev = max(np.abs(a - b).max() for a, b in zip(traj.states, ref))
+        assert dev <= 1e-7
+        if state == "coherent":
+            # the coherences rotate in the lab frame, so the check has teeth
+            assert np.abs(ref[-1] - ref[-2]).max() > 1e-2
+
     def test_truncation_error_on_overflowing_basis(self):
         s0 = fock.number_state_density_matrix(3, 5)
         kind = fock.LinearRWA(gamma=0.2, nbar=1.0)

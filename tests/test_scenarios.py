@@ -13,6 +13,22 @@ from oscbath import cli, fock, scenarios as sc
 from oscbath.errors import ConfigError
 
 
+def run_child(*args, timeout=60):
+    """The interpreter with args in a child process, this package on its path."""
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+
+
+# --set tables holding a cat of amplitude 1e-9 and phase pi, whose
+# normalisation N^2 = 2 + 2 cos(phi) e^{-2|alpha|^2} rounds to 0
+TINY_CATS = ('initial={"kind": "cat", "alpha": 1e-9, "phi": 3.141592653589793}',
+             'bc={"alpha": 1e-9, "phi": 3.141592653589793}')
+
+
 def base_tree(**kw):
     tree = {
         "scenario": "custom",
@@ -237,8 +253,8 @@ class TestConfigValidation:
             node = node[part]
         value = node[last] = data.draw(BAD_VALUES)
         must_fail = ((key == "scenario" and value in PATHS)
-                     or (key in ("time.points", "qgrid.points", "bath.comb.n_modes")
-                         and value == HUGE)
+                     or (key in ("time.points", "qgrid.points", "bath.comb.n_modes",
+                                 "solver.dim") and value == HUGE)
                      or (key == "initial.alpha" and value in ZERO
                          and tree["initial"].get("kind") == "cat"))
         try:
@@ -264,6 +280,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bc.points"):
             sc.run_fig4(sc.fig4_config({"bc": {"points": 5000},
                                         "qgrid": {"points": 2001}}))
+        # the basis size, and a Fock run's states: points x dim^2 values
+        fock_run = {"kind": "fock", "dim": sc.MAX_DIM}
+        points = sc.MAX_STATE_VALUES // sc.MAX_DIM**2
+        base_tree(solver=fock_run, time={"points": points}, emit_frames=False)
+        with pytest.raises(ConfigError, match="solver.dim must be finite"):
+            base_tree(solver=dict(fock_run, dim=sc.MAX_DIM + 1), emit_frames=False,
+                      time={"points": 2})
+        with pytest.raises(ConfigError, match="solver.dim\\^2 must be"):
+            base_tree(solver=fock_run, time={"points": points + 1}, emit_frames=False)
 
     def test_kT_to_occupation(self):
         def bath(cfg):
@@ -523,28 +548,55 @@ class TestCli:
         ("qgrid.points=1e9", "qgrid.points"),
         ("bc.points=1e12", "bc.points"),
         ("time.points=10000", "qgrid.points"),
+        ("solver.dim=1e6", "solver.dim"),
+        ("solver.dim=200", "solver.dim"),
+        ("a.dim=1001", "a.dim"),
+        ("a.dim=1", "a.dim"),
+        ("bc.dim=300", "bc.dim"),
+        (TINY_CATS[0], "initial.alpha"),
+        (TINY_CATS[1], "bc.alpha"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
         # run in a child process: before validation caught these, some hung
         # the solver, some wrote outside --out, others failed with a
         # misleading message or none; early_gamma0 belongs to fig3, the a.*
-        # and bc.* leaves to fig4, and fig2's initial state is a cat
-        figure = {"initial.alpha=0": "fig2"}.get(override) or {
+        # and bc.* leaves to fig4, fig2's initial state is a cat and fig3 is
+        # a Fock run
+        figure = {"initial.alpha=0": "fig2", "solver.dim=1e6": "fig3",
+                  "solver.dim=200": "fig3"}.get(override) or {
             "early_gamma0": "fig3", "a": "fig4", "bc": "fig4"}.get(
             override.split("=")[0].split(".")[0], "fig1")
         text = {"scenario=../escape": "plain file name",
-                "time.points=10000": "when frames are written"}.get(override, "finite")
-        src = os.path.dirname(os.path.dirname(sc.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "oscbath.cli", figure, "--out",
-             str(tmp_path / "inner"), "--set", override],
-            capture_output=True, text=True, timeout=60, env=env)
+                "time.points=10000": "when frames are written",
+                "solver.dim=200": "Fock state stack",
+                "bc.dim=300": "Fock state stack"}.get(
+            override, "normalisation" if override in TINY_CATS else "finite")
+        proc = run_child("-m", "oscbath.cli", figure, "--out",
+                         str(tmp_path / "inner"), "--set", override)
         assert proc.returncode == 1
         assert key in proc.stderr and text in proc.stderr
         assert os.listdir(tmp_path) == []
+
+    def test_unresolved_rotation_exit_2_naming_t(self, tmp_path):
+        # at omega = 1e6 the cumulant solve cannot step over the rotation
+        # that couples its first cumulants; the step budget ends it
+        proc = run_child("-m", "oscbath.cli", "fig1", "--out", str(tmp_path / "o"),
+                         "--set", "omega=1e6")
+        assert proc.returncode == 2
+        assert "step budget" in proc.stderr and "at t=" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_integrate_and_optimize_imported_lazily(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import oscbath.cli\n"
+            "lazy = ('scipy.integrate', 'scipy.optimize')\n"
+            "print(sorted(set(lazy) & set(sys.modules)))\n"
+            "rc = oscbath.cli.main(['fig1', '--out', sys.argv[1],\n"
+            "                       '--set', 'bath.gamma=NaN'])\n"
+            "print(rc, sorted(set(lazy) & set(sys.modules)))\n")
+        proc = run_child("-c", code, str(tmp_path / "o"))
+        assert proc.stdout.splitlines() == ["[]", "1 []"], proc.stderr
 
     def test_fig3_needs_rwa_dissipator(self, tmp_path, capsys):
         # fig3 subtracts the RWA mixture in closed form, so another
