@@ -42,9 +42,12 @@ which with e = e^{-2iwt} obey
 The free rotation drops out, so the adaptive steps follow the relaxation
 and the counter-rotating couplings, which carry e times a rate; the results
 are rotated back at the grid points.  Those couplings still make the steps
-resolve the period pi/w of e, so a run with w far above 1/span (fig1 at
-w = 1e6, say) needs millions of steps; the step budget (MAX_RHS_EVALS)
-ends it with IntegrationError naming the time reached.
+resolve the period pi/w of e, so the number of steps grows with w * span:
+100 to 320 right-hand sides per radian at the default tolerances on a
+comb or early-time bath.  A scenario config therefore bounds w * time.span
+(scenarios.MAX_ROTATION), and a solve that still makes more than
+MAX_RHS_EVALS evaluations ends with IntegrationError naming the time
+reached.
 
 Note the sign of mu in the K02 damping term: it is the complex conjugate
 of the K20 equation, as it must be for K02 = conj(K20) (and hence a real
@@ -77,11 +80,12 @@ import numpy as np
 from .bath import RelaxationCoefficients
 from .errors import IntegrationError
 
-# Right-hand-side evaluations one evolve_cumulants call may make.  The
-# largest solve of any preset or acceptance criterion takes 5 186 (criterion
-# 3, ten periods at rtol 1e-10), under 3 % of it; at about 20 us per
-# evaluation the budget runs out within seconds.
-MAX_RHS_EVALS = 200_000
+# Right-hand-side evaluations one evolve_cumulants call may make, read at
+# each call.  The largest solve of any preset or acceptance criterion takes
+# 5 186 (criterion 3, ten periods at rtol 1e-10), under 1 % of it; a 5-mode
+# comb over w * span = 2000 takes 633 000.  At 20-50 us per evaluation the
+# budget runs out within a minute.
+MAX_RHS_EVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,13 @@ def make_cat(alpha: complex, phi: float, system_omega: float = 1.0) -> Superposi
 
 def evolve_cumulants(initial: BranchCumulants, coeffs: RelaxationCoefficients,
                      omega: float, times: Sequence[float],
-                     rtol: float = 1e-10, atol: float = 1e-12,
-                     max_evals: int = MAX_RHS_EVALS) -> List[BranchCumulants]:
+                     rtol: float = 1e-10, atol: float = 1e-12) -> List[BranchCumulants]:
     """Integrate the cumulant system on a caller-supplied grid.
 
     times must be strictly increasing and start at 0.  Internally the
     integrator takes adaptive substeps (explicit 4th/5th-order pair) on
     the rotating-frame cumulants (see the module docstring) and reports
-    only at the grid points, rotated back.  More than max_evals
+    only at the grid points, rotated back.  More than MAX_RHS_EVALS
     evaluations of the right-hand side raise IntegrationError at the time
     reached.
     """
@@ -206,9 +209,9 @@ def evolve_cumulants(initial: BranchCumulants, coeffs: RelaxationCoefficients,
     def rhs(s, y):
         nonlocal n_evals
         n_evals += 1
-        if n_evals > max_evals:
+        if n_evals > MAX_RHS_EVALS:
             raise IntegrationError(
-                f"cumulant step budget of {max_evals} evaluations exhausted "
+                f"cumulant step budget of {MAX_RHS_EVALS} evaluations exhausted "
                 f"at t={s:g}", time=s)
         k10, k01, k11, k20, k02 = y
         mu = mu_f(s)

@@ -49,10 +49,15 @@ _REQUIRED = object()
 # not an allocation of terabytes.
 MAX_POINTS = 10_000             # time.points, a.points, bc.points
 MAX_QGRID_POINTS = 65_536       # qgrid.points
-MAX_FRAME_VALUES = 10_000_000   # frames x q-points of one frame stack
+MAX_STACK_VALUES = 10_000_000   # frames x q-points, or frames x dim^2, of a stack
 MAX_COMB_MODES = 10_000         # bath.comb.n_modes
 MAX_DIM = 1_000                 # solver.dim, a.dim, bc.dim
-MAX_STATE_VALUES = 10_000_000   # frames x dim^2 of one Fock state stack
+# Largest omega * time.span of a cumulant solve, 318 periods (the presets
+# take at most 10).  The solve steps through the counter-rotating phase
+# e^{-2i omega t}, so its cost grows with omega * span; at this bound and
+# the default tolerances it takes at most about 2/3 of the solver's own
+# step budget (cumulant.MAX_RHS_EVALS) on the baths tried.
+MAX_ROTATION = 2000.0
 # Smallest cat normalisation N^2 = 2 + 2 cos(phi) e^{-2|alpha|^2}: it is a
 # difference of numbers near 2, so below this it keeps under four digits.
 MIN_CAT_NORM2 = 1e-12
@@ -131,16 +136,11 @@ def _cat_amplitude(key: str, value) -> complex:
     return x
 
 
-def _check_frame_values(keys: str, n_frames: int, n_points: int) -> None:
-    if n_frames * n_points > MAX_FRAME_VALUES:
-        raise ConfigError(f"{keys} must be <= {MAX_FRAME_VALUES} when frames are "
-                          f"written, got {n_frames} * {n_points}")
-
-
-def _check_state_values(keys: str, n_frames: int, dim: int) -> None:
-    if n_frames * dim * dim > MAX_STATE_VALUES:
-        raise ConfigError(f"{keys} must be <= {MAX_STATE_VALUES} for the Fock "
-                          f"state stack, got {n_frames} * {dim}^2")
+def _check_stack(keys: str, n: int, m: int, what: str) -> None:
+    """Refuse a stack of n arrays of m values each beyond MAX_STACK_VALUES."""
+    if n * m > MAX_STACK_VALUES:
+        raise ConfigError(f"{keys} must be <= {MAX_STACK_VALUES} {what}, "
+                          f"got {n} * {m}")
 
 
 def _check_cat_norm(key: str, alpha: complex, phi: float) -> None:
@@ -328,10 +328,18 @@ class ScenarioConfig:
         """Read every leaf a scenario run needs; a bad one raises ConfigError."""
         # each view reads and checks its leaves
         self.scenario, self.omega, self.alpha, self.phi, self.tolerances
-        n_frames, n_points = self.time_grid().size, self.q_grid().size
+        times, n_points = self.time_grid(), self.q_grid().size
+        n_frames = times.size
         if self.emit_frames:
-            _check_frame_values("time.points * qgrid.points", n_frames, n_points)
+            _check_stack("time.points * qgrid.points", n_frames, n_points,
+                         "when frames are written")
         bkind, ikind, skind = self.bath_kind, self.initial_kind, self.solver_kind
+        if skind == "cumulant" or (skind == "analytic" and self.emit_frames):
+            span = float(times[-1])
+            if self.omega * span > MAX_ROTATION:
+                raise ConfigError(
+                    f"omega * time.span must be <= {MAX_ROTATION:g} for the "
+                    f"cumulant solve, got {self.omega!r} * {span!r}")
         if skind in ("cumulant", "analytic") and ikind == "number":
             raise ConfigError(
                 f"initial.kind 'number' is not a Gaussian branch; solver.kind "
@@ -346,7 +354,8 @@ class ScenarioConfig:
                 f"not bath.kind {bkind!r}")
         if skind == "fock":
             dim, _ = self.dim, self.dissipator
-            _check_state_values("time.points * solver.dim^2", n_frames, dim)
+            _check_stack("time.points * solver.dim^2", n_frames, dim * dim,
+                         "for the Fock state stack")
             if ikind == "number" and self.k >= dim:
                 raise ConfigError(f"initial.k must be below solver.dim={dim}, "
                                   f"got {self.k}")
@@ -601,7 +610,8 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     times_a = np.linspace(0.0, read("a.span", bound="> 0"),
                           read("a.points", check=_integer, bound=_POINTS))
     dim_a = read("a.dim", check=_integer, bound=_DIM)
-    _check_state_values("a.points * a.dim^2", times_a.size, dim_a)
+    _check_stack("a.points * a.dim^2", times_a.size, dim_a * dim_a,
+                 "for the Fock state stack")
     alpha0 = read("a.alpha0", check=_finite)
     kinds_a = (fock_mod.LinearNonRWA(gamma=read("a.gamma", bound=">= 0"), nbar=0.0),
                fock_mod.QuadraticLindblad(Gamma=read("a.Gamma", bound=">= 0"), nbar2=0.0))
@@ -618,9 +628,11 @@ def run_fig4(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     _check_cat_norm("bc.alpha", alpha, phi)
     times_bc = np.linspace(0.0, read("bc.span", bound="> 0"),
                            read("bc.points", check=_integer, bound=_POINTS))
-    _check_state_values("bc.points * bc.dim^2", times_bc.size, dim)
+    _check_stack("bc.points * bc.dim^2", times_bc.size, dim * dim,
+                 "for the Fock state stack")
     grid = config.q_grid()
-    _check_frame_values("bc.points * qgrid.points", times_bc.size, grid.size)
+    _check_stack("bc.points * qgrid.points", times_bc.size, grid.size,
+                 "when frames are written")
     result = ScenarioResult(name="fig4", times=times_a)
 
     # (a) coherent state, linear vs two-quantum bath

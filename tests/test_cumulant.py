@@ -235,13 +235,14 @@ class TestRotatingFrame:
         # the comb leaves a visible imprint: the second cumulants are not small
         assert np.abs(ref.y[2:]).max() > 1e-2
 
-    def test_step_budget_reported_with_time(self):
+    def test_step_budget_reported_with_time(self, monkeypatch):
         from oscbath.errors import IntegrationError
 
+        monkeypatch.setattr(cum, "MAX_RHS_EVALS", 30)
         co = constant_coeffs(0.1, 0.05)
         with pytest.raises(IntegrationError) as exc:
             cum.evolve_cumulants(cum.BranchCumulants.initial(1, 1), co, 1.0,
-                                 np.linspace(0.0, 50.0, 11), max_evals=30)
+                                 np.linspace(0.0, 50.0, 11))
         assert exc.value.time is not None and 0.0 < exc.value.time < 50.0
         assert f"t={exc.value.time:g}" in str(exc.value)
 

@@ -273,7 +273,7 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"{leaf}.points must be finite"):
                 base_tree(**{leaf: {"points": limit + 1}})
         frames = {"time": {"points": 5000}, "qgrid": {"points": 2001}}
-        assert 5000 * 2001 > sc.MAX_FRAME_VALUES
+        assert 5000 * 2001 > sc.MAX_STACK_VALUES
         with pytest.raises(ConfigError, match="when frames are written"):
             base_tree(**frames)
         base_tree(**frames, emit_frames=False)
@@ -282,13 +282,26 @@ class TestConfigValidation:
                                         "qgrid": {"points": 2001}}))
         # the basis size, and a Fock run's states: points x dim^2 values
         fock_run = {"kind": "fock", "dim": sc.MAX_DIM}
-        points = sc.MAX_STATE_VALUES // sc.MAX_DIM**2
+        points = sc.MAX_STACK_VALUES // sc.MAX_DIM**2
         base_tree(solver=fock_run, time={"points": points}, emit_frames=False)
         with pytest.raises(ConfigError, match="solver.dim must be finite"):
             base_tree(solver=dict(fock_run, dim=sc.MAX_DIM + 1), emit_frames=False,
                       time={"points": 2})
         with pytest.raises(ConfigError, match="solver.dim\\^2 must be"):
             base_tree(solver=fock_run, time={"points": points + 1}, emit_frames=False)
+
+    def test_rotation_bounded_for_cumulant_solve(self):
+        # omega * time.span bounds the runs that make a cumulant solve: a
+        # cumulant run, and an analytic run that writes frames
+        at_bound = {"omega": 2.0, "time": {"span": sc.MAX_ROTATION / 2}}
+        over = {"omega": 2.0, "time": {"span": sc.MAX_ROTATION / 2 * (1 + 1e-12)}}
+        base_tree(**at_bound)
+        base_tree(**at_bound, solver={"kind": "analytic"})
+        for solver in ({"kind": "cumulant"}, {"kind": "analytic"}):
+            with pytest.raises(ConfigError, match=r"omega \* time.span must be"):
+                base_tree(**over, solver=solver)
+        base_tree(**over, solver={"kind": "analytic"}, emit_frames=False)
+        base_tree(**over, solver={"kind": "fock"})
 
     def test_kT_to_occupation(self):
         def bath(cfg):
@@ -304,6 +317,14 @@ class TestConfigValidation:
 
 
 class TestFig1:
+    def test_longest_supported_span_completes(self):
+        # 318 periods, the most omega * time.span allows, within the
+        # cumulant step budget; V relaxes to the thermal 1/2 + n
+        cfg = sc.fig1_config({"time": {"span": sc.MAX_ROTATION},
+                              "emit_frames": False})
+        V = sc.run_fig1(cfg).series["V"]
+        assert V[-1] == pytest.approx(0.5 + cfg.bath.nbar, abs=1e-6)
+
     def test_variance_relaxation(self):
         result = sc.run_fig1()
         v = result.series["V"]
@@ -553,6 +574,7 @@ class TestCli:
         ("a.dim=1001", "a.dim"),
         ("a.dim=1", "a.dim"),
         ("bc.dim=300", "bc.dim"),
+        ("omega=1e6", "omega * time.span"),
         (TINY_CATS[0], "initial.alpha"),
         (TINY_CATS[1], "bc.alpha"),
     ])
@@ -569,7 +591,8 @@ class TestCli:
         text = {"scenario=../escape": "plain file name",
                 "time.points=10000": "when frames are written",
                 "solver.dim=200": "Fock state stack",
-                "bc.dim=300": "Fock state stack"}.get(
+                "bc.dim=300": "Fock state stack",
+                "omega=1e6": "cumulant solve"}.get(
             override, "normalisation" if override in TINY_CATS else "finite")
         proc = run_child("-m", "oscbath.cli", figure, "--out",
                          str(tmp_path / "inner"), "--set", override)
@@ -577,13 +600,17 @@ class TestCli:
         assert key in proc.stderr and text in proc.stderr
         assert os.listdir(tmp_path) == []
 
-    def test_unresolved_rotation_exit_2_naming_t(self, tmp_path):
-        # at omega = 1e6 the cumulant solve cannot step over the rotation
-        # that couples its first cumulants; the step budget ends it
-        proc = run_child("-m", "oscbath.cli", "fig1", "--out", str(tmp_path / "o"),
-                         "--set", "omega=1e6")
-        assert proc.returncode == 2
-        assert "step budget" in proc.stderr and "at t=" in proc.stderr
+    def test_cumulant_step_budget_exit_2_naming_t(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the budget backs up the omega * time.span bound: a solve that
+        # still runs out of evaluations is a numerical failure
+        import oscbath.cumulant as cum
+
+        monkeypatch.setattr(cum, "MAX_RHS_EVALS", 30)
+        rc = cli.main(["fig1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "step budget" in err and "at t=" in err
         assert not (tmp_path / "o").exists()
 
     def test_integrate_and_optimize_imported_lazily(self, tmp_path):
