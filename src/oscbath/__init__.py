@@ -1,11 +1,12 @@
 """Relaxation and decoherence of a harmonic oscillator in bosonic baths.
 
-Three cross-validating solvers for the same physics:
+Two cross-validating solvers for the same physics:
 
 * :mod:`oscbath.cumulant` -- Gaussian branch dynamics (first/second
   cumulants of the normally ordered characteristic function), exact for
-  coherent states and their superpositions under linear coupling;
-* closed-form Markov and early-time solutions (same module);
+  coherent states and their superpositions under linear coupling; the
+  same module holds the closed-form Markov solution and the exact
+  early-time variance the tests and acceptance criteria compare against;
 * :mod:`oscbath.fock` -- truncated number-basis density-matrix
   integrator, the independent oracle and the only solver for the
   two-quantum bath.
@@ -34,7 +35,6 @@ from .cumulant import (
     SuperpositionState,
     analytic_markov,
     coherent_state,
-    early_time,
     evolve_cumulants,
     evolve_superposition,
     make_cat,
@@ -53,14 +53,12 @@ from .fock import (
     cat_density_matrix,
     coherent_density_matrix,
     integrate,
-    liouvillian_apply,
     number_state_density_matrix,
     observables,
     position_density,
     propagate,
 )
 from .wavepacket import (
-    GaussianBranchDensity,
     WavepacketFrame,
     branch_density,
     decoherence_rate,

@@ -299,21 +299,6 @@ def analytic_markov(alpha0: complex, gamma: float, omega: float, nbar: float, t)
     return Q, V, z
 
 
-def early_time(alpha0: complex, Gamma0: float, omega: float, t):
-    """Early-stage kinematics: Q = 2 Re(alpha0 e^{-iwt}), V = 1/2 + Gamma0 t^2.
-
-    This is the quadratic-broadening reference law; the exact solution of
-    the cumulant system for the idealized bath carries an additional
-    -(Gamma0/w^2) sin^2(wt), see early_time_exact_variance.
-    """
-    t = np.asarray(t, dtype=float)
-    Q = 2.0 * np.real(alpha0 * np.exp(-1j * omega * t))
-    V = 0.5 + Gamma0 * t * t
-    if t.ndim == 0:
-        return float(Q), float(V)
-    return Q, V
-
-
 def early_time_exact_variance(Gamma0: float, omega: float, t):
     """Exact V(t) for mu = 0, nu = Gamma0 t: 1/2 + G0 t^2 - (G0/w^2) sin^2 wt."""
     t = np.asarray(t, dtype=float)

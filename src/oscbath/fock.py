@@ -65,9 +65,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .bath import DiscreteModes, check_nonnegative, gamma_functions
 from .cumulant import cat_norm2
@@ -118,9 +115,6 @@ class FockDensityMatrix:
 
     def trace_defect(self) -> float:
         return abs(complex(np.trace(self.sigma)) - 1.0)
-
-    def top_population(self) -> float:
-        return float(self.sigma[-1, -1].real)
 
 
 def coherent_density_matrix(alpha: complex, dim: int) -> FockDensityMatrix:
@@ -304,12 +298,14 @@ class Liouvillian:
             out += rate * (M @ Y - Y @ M)
         return out
 
-    def superoperator(self, t: float = 0.0) -> scipy.sparse.csr_array:
-        """Sparse matrix S with vec(apply(sigma, t)) = S vec(sigma).
+    def superoperator(self, t: float = 0.0):
+        """Sparse CSR matrix S with vec(apply(sigma, t)) = S vec(sigma).
 
         vec is row-major, vec(sigma)[m dim + n] = sigma_mn, so that
         vec(A sigma B) = kron(A, B^T) vec(sigma).
         """
+        import scipy.sparse
+
         def kron(A, B):
             return scipy.sparse.kron(scipy.sparse.csr_array(A),
                                      scipy.sparse.csr_array(B), format="csr")
@@ -324,12 +320,6 @@ class Liouvillian:
                             + kron(Y, D.T) - kron(eye, (D @ Y).T))
         S.eliminate_zeros()
         return S
-
-
-def liouvillian_apply(kind: DissipatorKind, sigma: FockDensityMatrix,
-                      t: float = 0.0, omega: float = 1.0) -> np.ndarray:
-    """Generator action d sigma/dt for a single state (one-shot surface)."""
-    return Liouvillian(kind, omega, sigma.dim).apply(sigma.sigma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +341,6 @@ class FockTrajectory:
     n_rejected: int
     truncation_flagged: bool
     positivity_flagged: bool
-
-    def density_matrices(self) -> List[FockDensityMatrix]:
-        return [FockDensityMatrix(dim=self.dim, sigma=s) for s in self.states]
 
 
 def _rk4(f, t, y, h, k1=None):
@@ -548,6 +535,9 @@ def propagate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     TOP_WARN and raises TruncationError above TOP_ERROR.  n_accepted counts
     the grid intervals; nothing is ever rejected.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if isinstance(kind, TimeDependent):
         raise ValueError("propagate needs a time-independent generator; "
                          "use integrate for TimeDependent")

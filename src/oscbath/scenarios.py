@@ -29,7 +29,7 @@ from . import wavepacket as wp
 from .errors import ConfigError
 
 BATH_KINDS = ("linear-markov", "quadratic-markov", "early-time", "discrete-modes")
-SOLVER_KINDS = ("cumulant", "analytic", "fock")
+SOLVER_KINDS = ("cumulant", "fock")
 INITIAL_KINDS = ("coherent", "cat", "number")
 # Fock dissipator name -> (bath kind, constructor from the built bath); the
 # first name listed for a bath kind is its default.
@@ -277,7 +277,7 @@ class ScenarioConfig:
         if not allowed:
             raise ConfigError(
                 "the early-time bath is a closed-form limit with no Fock "
-                "dissipator; use solver.kind='cumulant' or 'analytic'")
+                "dissipator; use solver.kind='cumulant'")
         diss = self.leaf("solver.dissipator", allowed[0], tuple(FOCK_DISSIPATORS))
         if diss not in allowed:
             raise ConfigError(f"solver.dissipator {diss!r} does not match bath "
@@ -334,25 +334,21 @@ class ScenarioConfig:
             _check_stack("time.points * qgrid.points", n_frames, n_points,
                          "when frames are written")
         bkind, ikind, skind = self.bath_kind, self.initial_kind, self.solver_kind
-        if skind == "cumulant" or (skind == "analytic" and self.emit_frames):
+        if skind == "cumulant":
             span = float(times[-1])
             if self.omega * span > MAX_ROTATION:
                 raise ConfigError(
                     f"omega * time.span must be <= {MAX_ROTATION:g} for the "
                     f"cumulant solve, got {self.omega!r} * {span!r}")
-        if skind in ("cumulant", "analytic") and ikind == "number":
-            raise ConfigError(
-                f"initial.kind 'number' is not a Gaussian branch; solver.kind "
-                f"{skind!r} cannot represent it -- use solver.kind='fock'")
-        if skind == "cumulant" and bkind == "quadratic-markov":
-            raise ConfigError(
-                "the two-quantum bath has no Gaussian cumulant dynamics; "
-                "use solver.kind='fock' with dissipator 'quadratic-lindblad'")
-        if skind == "analytic" and bkind != "linear-markov":
-            raise ConfigError(
-                f"the analytic solver covers only the linear Markov bath, "
-                f"not bath.kind {bkind!r}")
-        if skind == "fock":
+            if ikind == "number":
+                raise ConfigError(
+                    "initial.kind 'number' is not a Gaussian branch; solver.kind "
+                    "'cumulant' cannot represent it -- use solver.kind='fock'")
+            if bkind == "quadratic-markov":
+                raise ConfigError(
+                    "the two-quantum bath has no Gaussian cumulant dynamics; "
+                    "use solver.kind='fock' with dissipator 'quadratic-lindblad'")
+        else:
             dim, _ = self.dim, self.dissipator
             _check_stack("time.points * solver.dim^2", n_frames, dim * dim,
                          "for the Fock state stack")
@@ -364,6 +360,19 @@ class ScenarioConfig:
             raise ConfigError(
                 f"linear bath requires the underdamped regime bath.gamma < omega "
                 f"(bath.gamma={built.gamma}, omega={self.omega})")
+        if isinstance(built, bath_mod.DiscreteModes):
+            # the system-bath Hamiltonian is bounded below only while this
+            # sum is below 1; past it the exact dynamics has a growing mode
+            om, k2, _ = built.arrays()
+            load = float(np.sum(4.0 * k2 / (self.omega * om)))
+            if load >= 1.0:
+                keys = ("bath.modes" if self.leaf("bath.comb", None, _table) is None
+                        else "bath.comb.center, bath.comb.width and "
+                             "bath.comb.total_coupling_sq")
+                raise ConfigError(
+                    f"omega and {keys} give sum 4 K^2/(omega omega_xi) = {load:g} "
+                    f">= 1: the coupled oscillator has no ground state; lower "
+                    f"the coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +436,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         return result
 
     state = build_superposition(config)
-    if skind == "analytic":
-        gamma, nbar = bath.gamma, bath.nbar
-        result.series["V"] = cum.analytic_markov(1.0, gamma, omega, nbar, times)[1]
-        result.series["meanQ"] = (
-            cum.analytic_markov(config.alpha, gamma, omega, nbar, times)[0]
-            if config.initial_kind == "coherent" else np.zeros_like(times))
-    if skind == "cumulant" or config.emit_frames:
-        coeffs = bath_mod.relaxation_coefficients(bath, omega)
-        evolved = cum.evolve_superposition(state, coeffs, times, *config.tolerances)
-        if skind == "cumulant":
-            result.series["meanQ"] = np.array([
-                sum((br.weight * ev[i].center).real for br, ev in zip(state.branches, evolved))
-                for i in range(len(times))])
-            result.series["V"] = np.array(  # branch-independent
-                [c.variance_param.real for c in evolved[0]])
-        if config.emit_frames:
-            result.frames = [wp.density_frame(state, [ev[i] for ev in evolved], grid, t)
-                             for i, t in enumerate(times)]
+    coeffs = bath_mod.relaxation_coefficients(bath, omega)
+    evolved = cum.evolve_superposition(state, coeffs, times, *config.tolerances)
+    pairs = list(zip(state.branches, evolved))
+    meanQ = np.array([sum((br.weight * ev[i].center).real for br, ev in pairs)
+                      for i in range(len(times))])
+    # V = Var(Q)/2 of the whole state: the branch widths plus the spread of
+    # the branch centres (exactly 0 for one coherent branch)
+    result.series["meanQ"] = meanQ
+    result.series["V"] = np.array([
+        sum((br.weight * ev[i].variance_param).real for br, ev in pairs)
+        + 0.5 * (sum((br.weight * ev[i].center ** 2).real for br, ev in pairs)
+                 - meanQ[i] ** 2)
+        for i in range(len(times))])
+    if config.emit_frames:
+        result.frames = [wp.density_frame(state, [ev[i] for ev in evolved], grid, t)
+                         for i, t in enumerate(times)]
     return result
 
 

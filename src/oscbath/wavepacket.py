@@ -34,23 +34,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cumulant import (BranchCumulants, SuperpositionState, cat_norm2,
-                       effective_frequency)
+from .cumulant import (BranchCumulants, SuperpositionState, analytic_markov,
+                       cat_norm2, effective_frequency)
 from .errors import IntegrationError
-
-
-@dataclass(frozen=True)
-class GaussianBranchDensity:
-    """One branch of the coordinate density: center, V, and weight."""
-
-    center: complex
-    variance_param: complex
-    weight: complex
-
-    def __post_init__(self):
-        if self.variance_param.real <= 1e-12:
-            raise ValueError(
-                f"degenerate variance: Re V = {self.variance_param.real:g} <= 1e-12")
 
 
 @dataclass
@@ -67,27 +53,23 @@ class WavepacketFrame:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def branch_from_cumulants(c: BranchCumulants, weight: complex) -> GaussianBranchDensity:
-    return GaussianBranchDensity(center=c.center, variance_param=c.variance_param,
-                                 weight=complex(weight))
+def branch_density(Q, center: complex, V: complex, weight: complex):
+    """Complex density w P^(a,b)(Q) of one branch, vectorized over Q.
 
-
-def branch_density(Q, branch: GaussianBranchDensity):
-    """Complex density of a single branch, vectorized over Q.
-
-    Computed as exp(log w - (Q-c)^2/4V - log(2 sqrt(pi V))) so that large
-    imaginary centers cancel against exponentially small weights before
+    center is Q_c = K10 + K01 and V = 1/2 + K11 + K20 + K02 (see the module
+    docstring); Re V must exceed 1e-12.  Computed as
+    exp(log w - (Q-c)^2/4V - log(2 sqrt(pi V))) so that large imaginary
+    centers cancel against exponentially small weights before
     exponentiation.
     """
-    V = branch.variance_param
     if V.real <= 1e-12:
-        raise ValueError(f"degenerate variance: Re V = {V.real:g}")
+        raise ValueError(f"degenerate variance: Re V = {V.real:g} <= 1e-12")
     Q = np.asarray(Q, dtype=float)
-    if branch.weight == 0:
+    if weight == 0:
         return np.zeros(Q.shape, dtype=complex) if Q.ndim else 0j
-    log_w = cmath.log(branch.weight)
+    log_w = cmath.log(weight)
     log_norm = cmath.log(2.0 * cmath.sqrt(cmath.pi * V))
-    expo = log_w - (Q - branch.center) ** 2 / (4.0 * V) - log_norm
+    expo = log_w - (Q - center) ** 2 / (4.0 * V) - log_norm
     out = np.exp(expo)
     if Q.ndim == 0:
         return complex(out)
@@ -96,28 +78,19 @@ def branch_density(Q, branch: GaussianBranchDensity):
 
 def density_frame(state: SuperpositionState,
                   evolved: Sequence[BranchCumulants],
-                  grid, time: float,
-                  part: str = "full") -> WavepacketFrame:
+                  grid, time: float) -> WavepacketFrame:
     """Sum the branch Gaussians of an evolved superposition on a grid.
 
     evolved holds one BranchCumulants per branch of state, all at the same
-    time.  part selects "full", "mixture" (diagonal branches only) or
-    "interference" (off-diagonal only).  Conjugate-paired branches combine
-    to a real result; the residual imaginary part is checked.
+    time.  Conjugate-paired branches combine to a real result; the residual
+    imaginary part is checked.
     """
-    if part not in ("full", "mixture", "interference"):
-        raise ValueError(f"unknown part {part!r}")
     if len(evolved) != len(state.branches):
         raise ValueError("one evolved BranchCumulants per branch is required")
     grid = np.asarray(grid, dtype=float)
     total = np.zeros(grid.shape, dtype=complex)
     for b, c in zip(state.branches, evolved):
-        diag = b.is_diagonal()
-        if part == "mixture" and not diag:
-            continue
-        if part == "interference" and diag:
-            continue
-        total += branch_density(grid, branch_from_cumulants(c, b.weight))
+        total += branch_density(grid, c.center, c.variance_param, b.weight)
     scale = max(float(np.abs(total.real).max(initial=0.0)), 1e-300)
     warnings = ()
     if float(np.abs(total.imag).max(initial=0.0)) > 1e-9 * scale:
@@ -133,8 +106,6 @@ def interference_term(alpha: complex, phi: float, gamma: float, omega: float,
     Agrees with the off-diagonal branch sum of density_frame to better
     than 1e-10 under constant-coefficient (Markov) evolution.
     """
-    from .cumulant import analytic_markov
-
     _, V, z = analytic_markov(alpha, gamma, omega, nbar, float(t))
     Q = np.asarray(Q, dtype=float)
     a2 = abs(alpha) ** 2
@@ -151,8 +122,6 @@ def interference_term(alpha: complex, phi: float, gamma: float, omega: float,
 def significance_ratio(alpha: complex, gamma: float, omega: float, nbar: float,
                        t: float) -> float:
     """([Im(a z)]^2 e^{-2gt} / V) / (2|a|^2); ~1 flags visible interference."""
-    from .cumulant import analytic_markov
-
     _, V, z = analytic_markov(alpha, gamma, omega, nbar, float(t))
     a2 = abs(alpha) ** 2
     if a2 == 0:
@@ -176,8 +145,6 @@ def find_collision_times(gamma: float, omega: float, nbar: float,
     (Im(a z))^2 e^{-2gt} / V near w~ t = pi/2 + k pi.
     """
     from scipy.optimize import minimize_scalar
-
-    from .cumulant import analytic_markov
 
     wt = effective_frequency(omega, gamma)
 

@@ -87,11 +87,11 @@ class TestMarkovStage:
 
 class TestEarlyTime:
     def test_reference_points(self):
-        q, v = cum.early_time(2.0, 0.3, 1.0, 0.0)
-        assert (q, v) == (pytest.approx(4.0), pytest.approx(0.5))
-        q, v = cum.early_time(2.0, 0.3, 1.0, math.pi)
-        assert q == pytest.approx(-4.0)
-        assert v == pytest.approx(0.5 + 0.3 * math.pi**2)
+        # the quadratic-broadening reference law V = 1/2 + G0 t^2 is the
+        # exact variance less (G0/w^2) sin^2(wt), which vanishes at wt = k pi
+        for t in (0.0, math.pi):
+            assert cum.early_time_exact_variance(0.3, 1.0, t) \
+                == pytest.approx(0.5 + 0.3 * t * t, abs=1e-12)
 
     def test_evolution_matches_exact_variance(self):
         # mu = 0, nu = G0 t has the exact solution

@@ -136,21 +136,21 @@ class TestLiouvillian:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
     def test_matches_dense_oracle(self, kind):
         sigma = random_hermitian_state(12, seed=7)
-        ds = fock.liouvillian_apply(kind, sigma, t=0.7, omega=1.3)
+        ds = fock.Liouvillian(kind, 1.3, 12).apply(sigma.sigma, 0.7)
         expected = dense_generator(kind, sigma.sigma, 1.3, 0.7)
         assert np.abs(ds - expected).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
     def test_trace_free(self, kind):
         sigma = random_hermitian_state(12, seed=3)
-        ds = fock.liouvillian_apply(kind, sigma, t=0.7, omega=1.0)
+        ds = fock.Liouvillian(kind, 1.0, 12).apply(sigma.sigma, 0.7)
         assert abs(np.trace(ds)) < 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS[:3] + ALL_KINDS[4:],
                              ids=lambda k: type(k).__name__)
     def test_preserves_hermiticity(self, kind):
         sigma = random_hermitian_state(12, seed=4)
-        ds = fock.liouvillian_apply(kind, sigma, t=0.7, omega=1.0)
+        ds = fock.Liouvillian(kind, 1.0, 12).apply(sigma.sigma, 0.7)
         assert np.abs(ds - ds.conj().T).max() < 1e-12
 
     def test_literal_form_breaks_hermiticity_on_coherences(self):
@@ -158,8 +158,8 @@ class TestLiouvillian:
         # another reason it is kept only for comparison
         sigma = random_hermitian_state(12, seed=4)
         G = 0.3
-        ds = fock.liouvillian_apply(fock.QuadraticLiteral(Gamma=G, nbar2=0.0),
-                                    sigma, omega=0.0)
+        ds = fock.Liouvillian(fock.QuadraticLiteral(Gamma=G, nbar2=0.0),
+                              0.0, 12).apply(sigma.sigma)
         a, ad, _ = fock.build_ladder(12)
         D = (a @ a) @ (ad @ ad) - (ad @ ad) @ (a @ a)
         expected_defect = G * (D @ sigma.sigma - sigma.sigma @ D)
@@ -168,19 +168,19 @@ class TestLiouvillian:
     def test_nonrwa_ground_state_stationary_at_zero_temperature(self):
         sigma = fock.number_state_density_matrix(0, 10)
         kind = fock.LinearNonRWA(gamma=0.3, nbar=0.0)
-        ds = fock.liouvillian_apply(kind, sigma, omega=1.0)
+        ds = fock.Liouvillian(kind, 1.0, 10).apply(sigma.sigma)
         assert np.abs(ds).max() < 1e-14
 
     def test_quadratic_first_level_dark(self):
         sigma = fock.number_state_density_matrix(1, 12)
-        ds = fock.liouvillian_apply(fock.QuadraticLindblad(Gamma=0.5), sigma)
+        ds = fock.Liouvillian(fock.QuadraticLindblad(Gamma=0.5), 1.0, 12).apply(sigma.sigma)
         assert np.abs(ds).max() < 1e-14
 
     def test_quadratic_second_level_rates(self):
         # brute-force oracle: 2 a^2 s a+2 - a+2 a^2 s - s a+2 a^2 on |2><2|
         G, dim = 0.5, 12
         sigma = fock.number_state_density_matrix(2, dim)
-        ds = fock.liouvillian_apply(fock.QuadraticLindblad(Gamma=G), sigma)
+        ds = fock.Liouvillian(fock.QuadraticLindblad(Gamma=G), 1.0, dim).apply(sigma.sigma)
         assert ds[2, 2].real == pytest.approx(-4 * G, rel=1e-12)
         assert ds[0, 0].real == pytest.approx(4 * G, rel=1e-12)
 
@@ -189,16 +189,16 @@ class TestLiouvillian:
         # which is why it is not the default two-quantum dissipator
         G = 0.5
         sigma = fock.number_state_density_matrix(1, 12)
-        ds = fock.liouvillian_apply(fock.QuadraticLiteral(Gamma=G), sigma)
+        ds = fock.Liouvillian(fock.QuadraticLiteral(Gamma=G), 1.0, 12).apply(sigma.sigma)
         assert ds[3, 3].real == pytest.approx(6 * G, rel=1e-12)
         assert ds[1, 1].real == pytest.approx(-6 * G, rel=1e-12)
         assert abs(np.trace(ds)) < 1e-12
 
     def test_time_dependent_rejects_negative_time(self):
-        kind = ALL_KINDS[-1]
+        L = fock.Liouvillian(ALL_KINDS[-1], 1.0, 6)
         sigma = fock.number_state_density_matrix(0, 6)
         with pytest.raises(ValueError):
-            fock.liouvillian_apply(kind, sigma, t=-0.5)
+            L.apply(sigma.sigma, -0.5)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
     def test_matches_six_product_sandwich(self, kind):
@@ -545,8 +545,7 @@ class TestObservablesAndDensity:
         s = fock.number_state_density_matrix(0, 10)
         grid = np.linspace(-6, 6, 301)
         frame = fock.position_density(s, grid)
-        b = wp.GaussianBranchDensity(center=0.0, variance_param=0.5, weight=1.0)
-        ref = wp.branch_density(grid, b).real
+        ref = wp.branch_density(grid, 0.0, 0.5, 1.0).real
         assert np.abs(frame.density - ref).max() < 1e-12
 
     def test_coherent_density_is_shifted_gaussian(self):

@@ -27,6 +27,10 @@ def run_child(*args, timeout=60):
 # normalisation N^2 = 2 + 2 cos(phi) e^{-2|alpha|^2} rounds to 0
 TINY_CATS = ('initial={"kind": "cat", "alpha": 1e-9, "phi": 3.141592653589793}',
              'bc={"alpha": 1e-9, "phi": 3.141592653589793}')
+# a --set table for a comb coupled too strongly for the oscillator to keep a
+# ground state: sum 4 K^2/(omega omega_xi) is about 8.8
+STRONG_COMB = ('bath={"kind": "discrete-modes", "comb": {"center": 1.0, "width": 1.0, '
+               '"n_modes": 5, "total_coupling_sq": 2}}')
 
 
 def base_tree(**kw):
@@ -60,7 +64,7 @@ FUZZ_TREES = [
      "qgrid": {"min": -8.0, "max": 8.0, "points": 256}},
     {"bath": {"kind": "linear-markov", "gamma": 0.05, "nbar": 0.2},
      "initial": {"kind": "coherent", "alpha": [0.5, 0.5]},
-     "solver": {"kind": "analytic"}},
+     "solver": {"kind": "cumulant"}},
     {"bath": {"kind": "quadratic-markov", "Gamma": 0.1, "nbar2": 0.1},
      "initial": {"kind": "number", "k": 2},
      "solver": {"kind": "fock", "dissipator": "quadratic-literal", "dim": 12}},
@@ -96,8 +100,7 @@ def leaf_keys(tree, prefix=""):
 
 
 VALID_PAIRS = {
-    ("linear-markov", "cumulant"), ("linear-markov", "analytic"),
-    ("linear-markov", "fock"),
+    ("linear-markov", "cumulant"), ("linear-markov", "fock"),
     ("quadratic-markov", "fock"),
     ("early-time", "cumulant"),
     ("discrete-modes", "cumulant"), ("discrete-modes", "fock"),
@@ -106,7 +109,8 @@ VALID_PAIRS = {
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bath_kind", sorted(BATHS))
-    @pytest.mark.parametrize("solver_kind", sc.SOLVER_KINDS)
+    # "analytic" is a retired kind, refused on every bath
+    @pytest.mark.parametrize("solver_kind", sc.SOLVER_KINDS + ("analytic",))
     def test_pairing_matrix(self, bath_kind, solver_kind):
         tree = {
             "bath": BATHS[bath_kind],
@@ -121,13 +125,12 @@ class TestConfigValidation:
                 sc.ScenarioConfig.from_dict(tree)
 
     def test_number_state_requires_fock(self):
-        for solver in ("cumulant", "analytic"):
-            with pytest.raises(ConfigError, match="fock"):
-                sc.ScenarioConfig.from_dict({
-                    "bath": BATHS["linear-markov"],
-                    "initial": {"kind": "number", "k": 1},
-                    "solver": {"kind": solver},
-                    "time": {"span": 1.0, "points": 5}})
+        with pytest.raises(ConfigError, match="fock"):
+            sc.ScenarioConfig.from_dict({
+                "bath": BATHS["linear-markov"],
+                "initial": {"kind": "number", "k": 1},
+                "solver": {"kind": "cumulant"},
+                "time": {"span": 1.0, "points": 5}})
 
     def test_mismatched_dissipator_rejected(self):
         with pytest.raises(ConfigError, match="does not match bath"):
@@ -291,16 +294,14 @@ class TestConfigValidation:
             base_tree(solver=fock_run, time={"points": points + 1}, emit_frames=False)
 
     def test_rotation_bounded_for_cumulant_solve(self):
-        # omega * time.span bounds the runs that make a cumulant solve: a
-        # cumulant run, and an analytic run that writes frames
+        # omega * time.span bounds every cumulant run, with or without
+        # frames, and no Fock run
         at_bound = {"omega": 2.0, "time": {"span": sc.MAX_ROTATION / 2}}
         over = {"omega": 2.0, "time": {"span": sc.MAX_ROTATION / 2 * (1 + 1e-12)}}
         base_tree(**at_bound)
-        base_tree(**at_bound, solver={"kind": "analytic"})
-        for solver in ({"kind": "cumulant"}, {"kind": "analytic"}):
+        for frames in (True, False):
             with pytest.raises(ConfigError, match=r"omega \* time.span must be"):
-                base_tree(**over, solver=solver)
-        base_tree(**over, solver={"kind": "analytic"}, emit_frames=False)
+                base_tree(**over, emit_frames=frames)
         base_tree(**over, solver={"kind": "fock"})
 
     def test_kT_to_occupation(self):
@@ -314,6 +315,26 @@ class TestConfigValidation:
         # an explicit occupation wins over kT when both are present
         b3 = bath({"kind": "linear-markov", "gamma": 0.1, "kT": 3.0, "nbar": 0.7})
         assert b3.nbar == 0.7
+
+
+class TestSeriesNames:
+    @pytest.mark.parametrize("bath, initial", [
+        ({"gamma": 0.05, "nbar": 0.2}, {"kind": "coherent", "alpha": [1.0, 0.5]}),
+        ({"gamma": 0.01, "nbar": 0.0}, {"kind": "cat", "alpha": 2.0, "phi": math.pi / 2}),
+        ({"gamma": 0.1, "nbar": 0.4}, {"kind": "cat", "alpha": [1.0, 1.0], "phi": 0.3}),
+    ], ids=["coherent", "cat-fig2", "cat-complex"])
+    def test_routes_agree_on_shared_names(self, bath, initial):
+        # a series name means one thing on every route; for a cat V is
+        # Var(Q)/2 of the whole state, not the width of one branch
+        series = [sc.run_scenario(sc.ScenarioConfig.from_dict({
+            "bath": dict(bath, kind="linear-markov"), "initial": initial,
+            "solver": solver, "time": {"span": 2 * math.pi, "points": 41},
+            "emit_frames": False})).series
+            for solver in ({"kind": "cumulant"}, {"kind": "fock", "dim": 40})]
+        shared = set(series[0]) & set(series[1])
+        assert {"meanQ", "V"} <= shared
+        for name in shared:
+            assert np.abs(series[0][name] - series[1][name]).max() < 1e-7, name
 
 
 class TestFig1:
@@ -577,6 +598,8 @@ class TestCli:
         ("omega=1e6", "omega * time.span"),
         (TINY_CATS[0], "initial.alpha"),
         (TINY_CATS[1], "bc.alpha"),
+        ("solver.kind=analytic", "solver.kind"),
+        (STRONG_COMB, "bath.comb.total_coupling_sq"),
     ])
     def test_non_finite_override_fails_fast(self, tmp_path, override, key):
         # run in a child process: before validation caught these, some hung
@@ -592,7 +615,9 @@ class TestCli:
                 "time.points=10000": "when frames are written",
                 "solver.dim=200": "Fock state stack",
                 "bc.dim=300": "Fock state stack",
-                "omega=1e6": "cumulant solve"}.get(
+                "omega=1e6": "cumulant solve",
+                "solver.kind=analytic": "must be one of",
+                STRONG_COMB: "no ground state"}.get(
             override, "normalisation" if override in TINY_CATS else "finite")
         proc = run_child("-m", "oscbath.cli", figure, "--out",
                          str(tmp_path / "inner"), "--set", override)
@@ -614,10 +639,12 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_integrate_and_optimize_imported_lazily(self, tmp_path):
+        # a config error loads none of the scipy subpackages the solvers use
         code = (
             "import sys\n"
             "import oscbath.cli\n"
-            "lazy = ('scipy.integrate', 'scipy.optimize')\n"
+            "lazy = ('scipy.integrate', 'scipy.optimize', 'scipy.linalg',\n"
+            "        'scipy.sparse')\n"
             "print(sorted(set(lazy) & set(sys.modules)))\n"
             "rc = oscbath.cli.main(['fig1', '--out', sys.argv[1],\n"
             "                       '--set', 'bath.gamma=NaN'])\n"

@@ -18,23 +18,27 @@ def evolve_cat(alpha, phi, gamma, omega, nbar, times):
     return state, cum.evolve_superposition(state, co, times)
 
 
+def branch_frame(state, at_t, grid, t, diagonal):
+    """density_frame of the diagonal (mixture) or off-diagonal branches only."""
+    kept = [(b, c) for b, c in zip(state.branches, at_t) if b.is_diagonal() == diagonal]
+    part = cum.SuperpositionState(tuple(b for b, _ in kept), state.system_omega)
+    return wp.density_frame(part, [c for _, c in kept], grid, t)
+
+
 class TestBranchDensity:
     def test_ground_state_peak(self):
-        b = wp.GaussianBranchDensity(center=0.0, variance_param=0.5, weight=1.0)
-        assert wp.branch_density(0.0, b).real == pytest.approx(1 / math.sqrt(2 * math.pi),
-                                                               rel=1e-12)
+        assert wp.branch_density(0.0, 0.0, 0.5, 1.0).real \
+            == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
 
     def test_displaced_packet_peaks_at_center(self):
-        b = wp.GaussianBranchDensity(center=4.0, variance_param=0.5, weight=1.0)
         q = np.linspace(-8, 8, 1601)
-        d = wp.branch_density(q, b).real
+        d = wp.branch_density(q, 4.0, 0.5, 1.0).real
         assert q[np.argmax(d)] == pytest.approx(4.0, abs=0.02)
 
     def test_imaginary_center_against_fourier_oracle(self):
         # oracle: P(Q) = (1/2pi) int dl e^{-ilQ} e^{il c - l^2 V}
         c = 2.4j
         V = 0.62
-        b = wp.GaussianBranchDensity(center=c, variance_param=V, weight=1.0)
         for Q in (0.0, 0.5, 1.3):
             def integrand_re(lam):
                 return (np.exp(-1j * lam * Q + 1j * lam * c - lam * lam * V)).real
@@ -45,23 +49,21 @@ class TestBranchDensity:
             re, _ = quad(integrand_re, -60, 60, epsabs=1e-13, limit=400)
             im, _ = quad(integrand_im, -60, 60, epsabs=1e-13, limit=400)
             oracle = (re + 1j * im) / (2 * math.pi)
-            val = wp.branch_density(Q, b)
+            val = wp.branch_density(Q, c, V, 1.0)
             assert abs(val - oracle) < 1e-10
         # magnitude is maximal at Q = 0 with an oscillatory phase
         q = np.linspace(-3, 3, 301)
-        mags = np.abs(wp.branch_density(q, b))
+        mags = np.abs(wp.branch_density(q, c, V, 1.0))
         assert q[np.argmax(mags)] == pytest.approx(0.0, abs=0.02)
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            wp.GaussianBranchDensity(center=0.0, variance_param=1e-13, weight=1.0)
+            wp.branch_density(0.0, 0.0, 1e-13, 1.0)
 
     def test_log_space_handles_large_imaginary_center(self):
         # weight e^{-2|a|^2} cancels the exp((Im c)^2/4V) growth; no overflow
         a = 6.0
-        b = wp.GaussianBranchDensity(center=2j * a, variance_param=0.5,
-                                     weight=math.exp(-2 * a * a))
-        val = wp.branch_density(0.0, b)
+        val = wp.branch_density(0.0, 2j * a, 0.5, math.exp(-2 * a * a))
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         assert abs(val) == pytest.approx(math.exp(-2 * a * a + a * a * 2)
                                          / math.sqrt(2 * math.pi), rel=1e-9)
@@ -95,8 +97,8 @@ class TestDensityFrame:
         grid = np.linspace(-14, 14, 2048)
         for i in range(len(times)):
             at_t = [e[i] for e in evolved]
-            mix = wp.density_frame(state, at_t, grid, times[i], part="mixture")
-            tot = wp.density_frame(state, at_t, grid, times[i], part="full")
+            mix = branch_frame(state, at_t, grid, times[i], diagonal=True)
+            tot = wp.density_frame(state, at_t, grid, times[i])
             assert mix.density.min() >= 0.0
             assert tot.density.min() >= -1e-9
             assert tot.norm() == pytest.approx(1.0, abs=1e-6)
@@ -131,8 +133,8 @@ class TestInterferenceTerm:
             state, evolved = evolve_cat(2.0, phi, gamma, omega, nbar, times)
             for i, t in enumerate(times):
                 closed = wp.interference_term(2.0, phi, gamma, omega, nbar, grid, t)
-                branch = wp.density_frame(state, [e[i] for e in evolved],
-                                          grid, t, part="interference")
+                branch = branch_frame(state, [e[i] for e in evolved], grid, t,
+                                      diagonal=False)
                 assert np.abs(closed - branch.density).max() < 1e-10
 
     def test_initial_value(self):
