@@ -16,9 +16,10 @@ Implements the reduced-density-matrix generators on a finite level basis
 * propagate: exp(L t) sigma0 on a uniform grid, for the time-independent
   kinds.  When the generator keeps the coherence order m - n (RWA and both
   two-quantum forms) it splits into 2 dim - 1 blocks of size <= dim, each
-  exponentiated once at the grid step; otherwise (non-RWA) expm_multiply
-  (Al-Mohy & Higham 2011) covers the grid in runs of frames.  The frames
-  are exact propagations of sigma0 with no re-symmetrization in between,
+  exponentiated once at the grid step; otherwise (non-RWA) each grid step
+  applies s truncated Taylor sums of exp(h S / s) (Al-Mohy & Higham 2011),
+  their degree m and s fixed once per call from the exact |h S|_1.  The
+  frames are exact propagations of sigma0 with no re-symmetrization in between,
   so herm_drift is each frame's own defect |sigma - sigma^+|_max before
   the recorded state is symmetrized.
 
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
@@ -82,6 +82,19 @@ TOP_ERROR = 1e-3
 POSITIVITY_THRESHOLD = -1e-6
 # Most time-dependent sandwiches (one per distinct t) a Liouvillian keeps.
 SANDWICH_CACHE_SIZE = 8
+# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011) for a unit
+# roundoff of 2^-53: s Taylor sums of degree m give exp(A) v to that
+# backward error when |A|_1 <= s theta_m.  Degrees up to 30 are Higham's
+# "Functions of Matrices" table A.3, the rest the paper's table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +516,6 @@ def _coherence_blocks(S, dim: int):
     return blocks, gather, block * dim + slot
 
 
-_GLOBAL_RNG_LOCK = threading.Lock()
-
-
 def _frame_stack(n: int, dim: int) -> np.ndarray:
     """Zeroed complex (n, dim, dim) array in an anonymous memory map.
 
@@ -525,9 +535,11 @@ def propagate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     The grid must be uniform to rounding (any np.linspace(0, T, n)).  The
     generator is Liouvillian.superoperator(); when no entry of it couples
     different coherence orders, each order's block is exponentiated once at
-    the grid step and the frames follow by block mat-vecs, otherwise
-    expm_multiply gives the frames, one call per run of up to 1 MB of
-    them.  The frames are never re-symmetrized in between, so the states
+    the grid step and the frames follow by block mat-vecs.  Otherwise each
+    grid step h takes s truncated Taylor sums of exp(h S / s), the degree m
+    and s chosen once from |h S|_1 and TAYLOR_THETA to minimize m s, each
+    sum stopped once two successive terms fall below 2^-53 of it.  The
+    frames are never re-symmetrized in between, so the states
     are exp(L t) sigma0 as computed, symmetrized only when recorded.
     The monitors are integrate's,
     evaluated per frame: trace, pre-symmetrization defect (herm_drift),
@@ -536,7 +548,6 @@ def propagate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
     the grid intervals; nothing is ever rejected.
     """
     import scipy.linalg
-    import scipy.sparse.linalg
 
     if isinstance(kind, TimeDependent):
         raise ValueError("propagate needs a time-independent generator; "
@@ -562,24 +573,21 @@ def propagate(kind: DissipatorKind, sigma0: FockDensityMatrix, omega: float,
             stacked = np.matmul(blocks, flat[k - 1][gather][..., None])
             flat[k] = stacked.reshape(-1)[scatter]
     else:
-        # expm_multiply over runs of frames whose output fits in 1 MB, each
-        # starting from the last frame of the one before, so that no
-        # multi-MB array passes through the heap (see _frame_stack).  It
-        # picks its step count from norm estimates drawn from numpy's global
-        # random stream; seed it for every call so that reruns are
-        # byte-identical, then hand the caller's stream back.
-        per_call = max(1, (1 << 20) // flat[0].nbytes - 1)
-        with _GLOBAL_RNG_LOCK:
-            rng_state = np.random.get_state()
-            try:
-                for k in range(1, n_t, per_call):
-                    m = min(per_call, n_t - k)
-                    np.random.seed(0)
-                    flat[k:k + m] = scipy.sparse.linalg.expm_multiply(
-                        S, flat[k - 1], start=0.0, stop=m * h, num=m + 1,
-                        endpoint=True)[1:]
-            finally:
-                np.random.set_state(rng_state)
+        norm = h * float(abs(S).sum(axis=0).max())
+        m, s = min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
+                   key=lambda ms: ms[0] * ms[1])
+        v = flat[0]
+        for k in range(1, n_t):
+            for _ in range(s):
+                term, prev = v, np.abs(v).max()
+                for j in range(1, m + 1):
+                    term = (h / (s * j)) * (S @ term)
+                    size = np.abs(term).max()
+                    v = v + term
+                    if prev + size <= 2.0 ** -53 * np.abs(v).max():
+                        break
+                    prev = size
+            flat[k] = v
 
     drifts = np.empty(n_t)
     for k, s in enumerate(frames):
@@ -645,8 +653,8 @@ def position_density(sigma: FockDensityMatrix, grid) -> WavepacketFrame:
 def _density_frame(s: np.ndarray, grid: np.ndarray, psi: np.ndarray,
                    time: float = 0.0) -> WavepacketFrame:
     """position_density of the matrix s with the basis psi on grid given."""
-    u = s @ psi
-    density = np.einsum("mj,mj->j", psi, u).real
+    # psi is real, so Re sum_mn s_mn psi_m psi_n needs only Re s
+    density = np.einsum("mj,mj->j", psi, s.real @ psi)
     warnings: Tuple[str, ...] = ()
     pops = np.real(np.diag(s))
     occupied = np.nonzero(pops > 1e-6)[0]

@@ -474,34 +474,50 @@ class TestPropagate:
             assert np.real(np.diag(s))[::2].sum() <= 1e-10
         assert np.abs(traj.trace - 1.0).max() <= 1e-9
 
-    def test_block_and_sparse_paths(self, monkeypatch):
-        # the coherence-order test picks the path; only non-RWA takes
-        # expm_multiply, in runs of at most 1 MB of frames (71 at dim 30)
-        # that must join into the single-call result
+    @pytest.mark.parametrize("omega, h, multi",
+                             [(1.0, 30.0 / 399, False), (5.0, 0.3, True)],
+                             ids=["fig4-step", "substeps"])
+    def test_taylor_matches_dense_expm(self, omega, h, multi):
+        # non-RWA frames against powers of the dense exp(h S); the second
+        # case has |h S|_1 above the largest theta_m, so each grid step
+        # takes more than one Taylor sum
+        import scipy.linalg
+
+        dim, n_t = 20, 20
+        kind = fock.LinearNonRWA(gamma=0.15, nbar=0.3)
+        s0 = fock.coherent_density_matrix(0.8 - 0.5j, dim)
+        S = fock.Liouvillian(kind, omega, dim).superoperator()
+        norm = h * abs(S).sum(axis=0).max()
+        assert (norm > max(fock.TAYLOR_THETA.values())) == multi
+        traj = fock.propagate(kind, s0, omega, np.linspace(0.0, h * (n_t - 1), n_t))
+        step = scipy.linalg.expm(h * S.toarray())
+        v = s0.sigma.ravel()
+        for s in traj.states:
+            exact = v.reshape(dim, dim)
+            assert np.abs(s - 0.5 * (exact + exact.conj().T)).max() < 1e-12
+            v = step @ v
+
+    def test_block_and_sparse_paths(self):
+        # the coherence-order test picks the path: every time-independent
+        # kind but non-RWA splits into blocks, and non-RWA's Taylor frames
+        # agree with a single expm_multiply call over the whole grid
         import scipy.sparse.linalg
 
-        calls = []
-        real = scipy.sparse.linalg.expm_multiply
-
-        def count(*args, **kwargs):
-            calls.append(kwargs["num"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", count)
+        for kind in ALL_KINDS[1:4]:
+            S = fock.Liouvillian(kind, 1.0, 12).superoperator()
+            assert fock._coherence_blocks(S, 12) is not None
+        S = fock.Liouvillian(ALL_KINDS[0], 1.0, 30).superoperator()
+        assert fock._coherence_blocks(S, 30) is None
         s0 = fock.coherent_density_matrix(1.0, 30)
         ts = np.linspace(0.0, 3.0, 150)
-        for kind in (ALL_KINDS[1], ALL_KINDS[2], fock.QuadraticLiteral(Gamma=0.001)):
-            fock.propagate(kind, s0, 1.0, ts[:9])
-        assert calls == []
         traj = fock.propagate(ALL_KINDS[0], s0, 1.0, ts)
-        assert calls == [72, 72, 8]
-        S = fock.Liouvillian(ALL_KINDS[0], 1.0, 30).superoperator()
-        whole = real(S, s0.sigma.ravel(), start=0.0, stop=3.0, num=150, endpoint=True)
+        whole = scipy.sparse.linalg.expm_multiply(
+            S, s0.sigma.ravel(), start=0.0, stop=3.0, num=150, endpoint=True)
         assert np.abs(np.stack(traj.states).reshape(150, -1) - whole).max() < 1e-12
 
     def test_reruns_identical_and_random_stream_untouched(self):
-        # here expm_multiply's random norm estimates split the grid into
-        # different steps under numpy seeds 0 and 5 (frames differ by 8e-15)
+        # propagate never touches np.random: reruns under numpy seeds 0 and
+        # 5 are byte-identical, and the caller's stream is left where it was
         kind = fock.LinearNonRWA(gamma=0.209, nbar=0.84)
         s0 = fock.coherent_density_matrix(1.0, 18)
         ts = np.linspace(0.0, 12.5, 131)
@@ -574,6 +590,23 @@ class TestObservablesAndDensity:
             one = fock.position_density(fock.FockDensityMatrix(dim=24, sigma=s), grid)
             assert f.density.tobytes() == one.density.tobytes()
             assert f.warnings == one.warnings
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "complex"])
+    def test_density_has_the_bytes_of_the_complex_product(self, hermitian):
+        # psi is real, so only Re sigma reaches P(Q); on this grid the real
+        # product gives the bytes of the complex one (on some other grid
+        # sizes the BLAS kernels round the two apart in the last bit)
+        dim = 30
+        if hermitian:
+            s = random_hermitian_state(dim, seed=11).sigma
+        else:
+            rng = np.random.default_rng(12)
+            s = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        grid = np.linspace(-12.0, 12.0, 1024)
+        psi = fock.hermite_functions(dim, grid)
+        sigma = fock.FockDensityMatrix(dim=dim, sigma=s)
+        density = fock.position_density(sigma, grid).density
+        assert np.array_equal(density, np.einsum("mj,mj->j", psi, s @ psi).real)
 
     def test_thermal_variance_saturation(self):
         omega, gamma = 1.0, 0.1
